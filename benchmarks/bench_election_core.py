@@ -49,10 +49,9 @@ def _ticks_per_second(runner, **kwargs) -> float:
 
 
 def live_ticks_per_second(**kwargs) -> float:
-    # The legacy replica predates the fast defaults: measure the live core in
-    # the replica's modes unless a caller opts a batch mode back in, so the
-    # speedup isolates the election-core refactor itself.
-    kwargs.setdefault("batch_sampling", False)
+    # The legacy replica predates batched ticks: measure the live core with
+    # per-node ticks unless a caller opts batching back in, so the speedup
+    # isolates the election-core refactor itself.
     kwargs.setdefault("batch_ticks", False)
     return _ticks_per_second(run_election, **kwargs)
 
@@ -64,9 +63,7 @@ def legacy_ticks_per_second() -> float:
 def test_bench_election_core_bit_identical_to_legacy():
     """No timing is meaningful unless the two cores simulate identically."""
     for seed in SEEDS:
-        live = run_election(
-            RING_SIZE, a0=A0, seed=seed, batch_sampling=False, batch_ticks=False
-        )
+        live = run_election(RING_SIZE, a0=A0, seed=seed, batch_ticks=False)
         legacy = legacy_run_election(RING_SIZE, a0=A0, seed=seed)
         assert live == legacy, f"live core diverged from legacy replica at seed {seed}"
 

@@ -87,14 +87,3 @@ def test_bench_engine_speedup_vs_seed():
         f"(must stay >= {gate}x)"
     )
 
-
-def test_bench_schedule_many_vs_loop(benchmark):
-    callbacks = [(0.0, lambda: None) for _ in range(10_000)]
-
-    def batch() -> int:
-        sim = Simulator()
-        sim.schedule_many(callbacks)
-        return sim.pending
-
-    pending = benchmark.pedantic(batch, rounds=3, iterations=1)
-    assert pending == len(callbacks)

@@ -1,20 +1,18 @@
 """End-to-end experiment-suite benchmark: old defaults vs fast defaults.
 
 Everything earlier benchmarks measure in isolation (engine, message path,
-election core, sampling layer) lands here as one number: the wall clock of a
+election core) lands here as one number: the wall clock of a
 reduced E1 + E3 workload run through the *experiment harness itself*, exactly
 as ``scripts/run_all_experiments.py`` would run it.
 
 Two modes are compared:
 
 ``legacy``
-    The pre-PR-4 defaults, reproduced via ``election_overrides``:
-    per-message delay sampling (``batch_sampling=False``), one heap entry per
-    node and tick (``batch_ticks=False``), and the fixed Monte-Carlo trial
-    count.
+    The old defaults, reproduced via ``election_overrides``: one heap entry
+    per node and tick (``batch_ticks=False``) and the fixed Monte-Carlo
+    trial count.
 ``fast``
-    The shipped defaults (block-sampled delays, per-instant tick bucketing,
-    pooled hop messages) plus adaptive stopping
+    The shipped default (per-instant tick bucketing) plus adaptive stopping
     (:class:`~repro.experiments.runner.AdaptiveStopping`): each sweep point
     stops as soon as its target-metric mean is known to within
     ``CI_TOLERANCE`` at 95% confidence, bounded by the same trial budget the
@@ -52,8 +50,8 @@ from repro.experiments.runner import AdaptiveStopping
 #: (growth order, trade-off direction) is stable across re-runs.
 CI_TOLERANCE = 0.25
 
-#: Pre-PR-4 behaviour, spelled explicitly.
-LEGACY_OVERRIDES = {"batch_sampling": False, "batch_ticks": False}
+#: The old per-node tick mode, spelled explicitly.
+LEGACY_OVERRIDES = {"batch_ticks": False}
 
 #: Reduced E1 + E3 workloads.  ``trials`` is both the legacy mode's fixed
 #: count and the fast mode's budget (``max_trials``), so the comparison can

@@ -3,7 +3,7 @@
 A token circulates on a small ring: every delivery triggers exactly one
 ``transmit``, so the workload is pure ``transmit -> schedule -> _deliver ->
 on_receive`` cycles -- the path every election message takes.  The same
-workload runs on the real :class:`~repro.network.network.Network` (pooled
+workload runs on the real :class:`~repro.network.network.Network` (slotted
 envelopes, handle-free ``schedule_call_at`` delivery, null tracer, plain
 integer counters) and on the pre-optimization replica in
 :mod:`legacy_message_path` (per-message envelope/lambda/Event/handle
@@ -114,17 +114,3 @@ def test_bench_message_path_speedup_vs_legacy():
         f"(must stay >= {gate}x)"
     )
 
-
-def test_bench_envelope_pool_engages():
-    """The relay workload must reach envelope-pool steady state (no leak of
-    per-message allocations back into the path)."""
-    budget = {"remaining": 499}
-    config = NetworkConfig(
-        topology=unidirectional_ring(RING_SIZE),
-        delay_model=ConstantDelay(1.0),
-        seed=0,
-        enable_trace=False,
-    )
-    network = Network(config, lambda uid: RelayProgram(budget, starter=(uid == 0)))
-    network.run()
-    assert any(channel._envelope_pool for channel in network.channels)

@@ -9,8 +9,7 @@ Python-level draw per idle node per tick.
 ``test_bench_vector_core_speedup_vs_object`` gates the vector core at
 >= 3x the object core's default-path ticks/sec (``VECTOR_SPEEDUP_GATE``
 overrides; CI sets it lower because shared runners are noisy).  The object
-side runs its *fast* defaults (``batch_sampling``/``batch_ticks`` on), so
-the gate measures the columnar engine against the best object-core
+side runs its *fast* default (``batch_ticks`` on), so the gate measures the columnar engine against the best object-core
 configuration, not a strawman.
 
 The two engines draw from different random streams by design (see the

@@ -7,9 +7,8 @@ allocation-free tick rescheduling) against this replica of how the core
 worked before (commit 19a8dd0):
 
 * ``LegacyTickProcess`` -- one ``Simulator.schedule`` call per tick, i.e. a
-  fresh ``Event`` + ``EventHandle`` per tick (the held handle blocked the
-  engine's free-list recycling), and the old piecewise-segment clock walk per
-  tick (the replica switches its node's :class:`~repro.sim.clock.LocalClock`
+  fresh ``Event`` + ``EventHandle`` per tick, and the old piecewise-segment
+  clock walk per tick (the replica switches its node's :class:`~repro.sim.clock.LocalClock`
   off the identity fast path, restoring the one-segment-per-time-unit map the
   pre-refactor clock built even when drift-free);
 * ``LegacyAbeElectionProgram`` -- string-keyed ``metrics.increment`` per
@@ -241,7 +240,6 @@ def legacy_build_election_network(
     purge_at_active: bool = True,
     tick_period: float = 1.0,
     enable_trace: bool = False,
-    batch_sampling: bool = False,
 ) -> tuple:
     """The legacy counterpart of ``build_election_network`` (same config)."""
     delay_model = delay if delay is not None else ExponentialDelay(mean=1.0)
@@ -254,7 +252,6 @@ def legacy_build_election_network(
         fifo=fifo,
         size_known=True,
         enable_trace=enable_trace,
-        batch_sampling=batch_sampling,
     )
     mean = delay_model.mean()
     ABEModel(expected_delay_bound=mean if mean > 0 else 1.0).validate_config(config)

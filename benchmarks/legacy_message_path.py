@@ -1,10 +1,10 @@
 """Faithful replica of the pre-optimization per-message path.
 
 ``bench_message_path.py`` and ``scripts/bench_report.py`` measure the current
-message hot path (pooled envelopes, handle-free delivery scheduling, null
+message hot path (slotted envelopes, handle-free delivery scheduling, null
 tracer, plain integer counters) against this replica of how
-``Channel.transmit``/``_deliver`` worked before: a fresh ``Envelope`` dataclass
-per message, a delivery lambda closed over the envelope, an ``Event`` plus
+``Channel.transmit``/``_deliver`` worked before: a dict-backed ``Envelope``
+dataclass per message, a delivery lambda closed over the envelope, an ``Event`` plus
 ``EventHandle`` per delivery via ``schedule_at``, two ``tracer.record`` calls
 whose kwargs dicts are built even though tracing is disabled, string-keyed
 ``MetricsCollector.increment`` lookups, per-message ``isinstance`` dispatch in

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Measure engine/sampling/trial throughput and emit ``BENCH_engine.json``.
+"""Measure engine/message/trial throughput and emit ``BENCH_engine.json``.
 
 Usage::
 
     python scripts/bench_report.py [--quick] [--output BENCH_engine.json]
                                    [--workers N]
 
-Five measurements, all derived from the workloads the experiments actually
+Eight measurements, all derived from the workloads the experiments actually
 run:
 
 ``engine``
@@ -14,7 +14,7 @@ run:
     and on the seed engine replica (``benchmarks/legacy_engine.py``), plus
     the resulting speedup.
 ``message_path``
-    Messages/sec of a relay workload on the real network stack (pooled
+    Messages/sec of a relay workload on the real network stack (slotted
     envelopes, handle-free delivery scheduling, null tracer) vs the
     pre-optimization replica (``benchmarks/legacy_message_path.py``).
 ``election_core``
@@ -29,20 +29,13 @@ run:
     workload (``benchmarks/bench_vector_core.py``; different deterministic
     random streams by design, so throughput -- not trajectories -- is
     compared).
-``sampling``
-    Per-message delay sampling vs numpy-backed batch sampling
-    (``batch_sampling=True``).  ``batched_speedup`` gates on the sampling
-    *layer* (delays/sec through ``BlockDelaySampler`` vs per-call
-    ``sample``); full elections in both modes are included for end-to-end
-    context -- the two modes are different deterministic random streams, so
-    those are different sample paths and compared on events/sec.
 ``trials``
     Monte-Carlo election trials/sec serially and fanned across worker
     processes via :class:`repro.experiments.parallel.ParallelTrialRunner`.
 ``experiments_e2e``
-    Wall clock of a reduced E1+E3 experiment-suite run: the pre-PR-4
-    defaults (per-message sampling, per-node ticks, fixed trial counts) vs
-    the shipped fast defaults plus adaptive Monte-Carlo stopping
+    Wall clock of a reduced E1+E3 experiment-suite run: the old defaults
+    (per-node ticks, fixed trial counts) vs the shipped fast default plus
+    adaptive Monte-Carlo stopping
     (``benchmarks/bench_experiments_e2e.py``, gated >= 2x there).
 ``sweep_pool``
     Wall clock of a multi-size election sweep forking a fresh pool per ring
@@ -85,11 +78,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from legacy_engine import LegacySimulator  # noqa: E402
 
-from repro.core.runner import (  # noqa: E402
-    build_election_network,
-    run_election,
-    run_election_on_network,
-)
+from repro.core.runner import run_election  # noqa: E402
 from repro.experiments.parallel import ParallelTrialRunner, SweepPool  # noqa: E402
 from repro.experiments.runner import trial_seeds  # noqa: E402
 from repro.experiments.workloads import election_trials  # noqa: E402
@@ -220,87 +209,6 @@ def bench_vector_core(repeats: int) -> dict:
     }
 
 
-def _election_throughput(n: int, trials: int, batch_sampling: bool) -> tuple:
-    """(elections/sec, events/sec) over the trial battery.
-
-    Only the simulation run is timed (network construction is excluded): the
-    sampling mode changes per-message work inside the event loop, and the two
-    modes are different random streams, so the clean comparison is time spent
-    per simulated event.  Lazy sampler refills still land inside the timed
-    region, so batch mode pays its real costs here.
-    """
-    elapsed = 0.0
-    events = 0
-    for seed in trial_seeds(0, trials, label="bench"):
-        network, status = build_election_network(
-            n, a0=0.3, seed=seed, batch_sampling=batch_sampling
-        )
-        started = time.perf_counter()
-        result = run_election_on_network(network, status, a0=0.3)
-        elapsed += time.perf_counter() - started
-        assert result.elected
-        events += result.events_processed
-    return trials / elapsed, events / elapsed
-
-
-def _delays_per_second(batched: bool, draws: int) -> float:
-    """Throughput of the sampling layer itself on the canonical ABE channel."""
-    import random
-
-    from repro.network.delays import ExponentialDelay
-    from repro.network.sampling import BlockDelaySampler
-
-    distribution = ExponentialDelay(mean=1.0)
-    rng = random.Random(7)
-    if batched:
-        draw = BlockDelaySampler(distribution, rng).next
-    else:
-        sample = distribution.sample
-
-        def draw() -> float:
-            return sample(rng)
-
-    started = time.perf_counter()
-    for _ in range(draws):
-        draw()
-    return draws / (time.perf_counter() - started)
-
-
-def bench_sampling(n: int, trials: int, draws: int = 300_000, repeats: int = 2) -> dict:
-    # Two views.  The layer view measures what batch sampling changes: the
-    # cost of drawing one delay through the channel sampling layer at steady
-    # state -- `batched_speedup` gates on this.  The election view runs full
-    # elections in both modes for end-to-end context; those are *different
-    # deterministic random streams* (different sample paths, different event
-    # counts), and at election scale the per-channel numpy generator setup
-    # roughly cancels the per-draw savings, so events/sec lands near 1x.
-    scalar_draws = []
-    batched_draws = []
-    scalar_runs = []
-    batched_runs = []
-    for _ in range(repeats):
-        scalar_draws.append(_delays_per_second(False, draws))
-        batched_draws.append(_delays_per_second(True, draws))
-        scalar_runs.append(_election_throughput(n, trials, batch_sampling=False))
-        batched_runs.append(_election_throughput(n, trials, batch_sampling=True))
-    scalar = max(scalar_runs)[0], max(run[1] for run in scalar_runs)
-    batched = max(batched_runs)[0], max(run[1] for run in batched_runs)
-    return {
-        "ring_size": n,
-        "scalar_delays_per_sec": round(max(scalar_draws)),
-        "batched_delays_per_sec": round(max(batched_draws)),
-        "batched_speedup": round(max(batched_draws) / max(scalar_draws), 2),
-        "scalar_elections_per_sec": round(scalar[0], 2),
-        "batched_elections_per_sec": round(batched[0], 2),
-        "scalar_election_events_per_sec": round(scalar[1]),
-        "batched_election_events_per_sec": round(batched[1]),
-        "election_events_speedup": round(batched[1] / scalar[1], 2),
-        "peak_mem_mb": peak_memory_mb(
-            lambda: _election_throughput(n, trials, batch_sampling=True)
-        ),
-    }
-
-
 def bench_trials(n: int, trials: int, workers: int) -> dict:
     def run_one(seed: int):
         return run_election(n, a0=0.3, seed=seed)
@@ -420,14 +328,12 @@ def main() -> int:
     if args.quick:
         chain_events, repeats = 30_000, 2
         relay_messages = 15_000
-        sampling_n, sampling_trials = 16, 10
         trial_n, trial_count = 16, 12
         sweep_sizes, sweep_trials = (8, 16), 6
         store_records = 400
     else:
         chain_events, repeats = 150_000, 3
         relay_messages = 40_000
-        sampling_n, sampling_trials = 32, 30
         trial_n, trial_count = 32, 48
         sweep_sizes, sweep_trials = (8, 16, 32), 16
         store_records = 2000
@@ -458,14 +364,6 @@ def main() -> int:
         f"  {vector_core['ticks_per_sec']:,} ticks/sec "
         f"({vector_core['speedup_vs_object']}x vs object core; peak "
         f"{vector_core['peak_mem_mb']} MB vs {vector_core['object_peak_mem_mb']} MB)"
-    )
-    print("benchmarking delay sampling ...", flush=True)
-    sampling = bench_sampling(sampling_n, sampling_trials)
-    print(
-        f"  layer: scalar {sampling['scalar_delays_per_sec']:,} delays/sec, "
-        f"batched {sampling['batched_delays_per_sec']:,} delays/sec "
-        f"({sampling['batched_speedup']}x); elections "
-        f"{sampling['election_events_speedup']}x events/sec"
     )
     print("benchmarking experiments end-to-end ...", flush=True)
     experiments_e2e = measure_experiments_e2e(quick=args.quick, repeats=repeats)
@@ -509,7 +407,6 @@ def main() -> int:
         "message_path": message_path,
         "election_core": election_core,
         "vector_core": vector_core,
-        "sampling": sampling,
         "experiments_e2e": experiments_e2e,
         "trials": trials,
         "sweep_pool": sweep_pool,

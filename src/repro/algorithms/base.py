@@ -120,7 +120,6 @@ def build_ring_election(
     fifo: bool = False,
     with_identifiers: bool = True,
     size_known: bool = True,
-    batch_sampling: bool = True,
     topology: Optional[Topology] = None,
 ) -> tuple:
     """Construct the network and shared tally for one baseline election run.
@@ -141,9 +140,6 @@ def build_ring_election(
         seed).  Anonymous algorithms (Itai-Rodeh) set this to ``False``.
     bidirectional:
         Ring orientation; Franklin's algorithm needs both directions.
-    batch_sampling:
-        Draw channel delays through block samplers (a different deterministic
-        random stream; see :class:`~repro.network.network.NetworkConfig`).
     """
     if n < 2:
         raise ValueError("ring elections need n >= 2")
@@ -171,7 +167,6 @@ def build_ring_election(
         size_known=size_known,
         knowledge_factory=knowledge_factory,
         enable_trace=False,
-        batch_sampling=batch_sampling,
     )
     network = Network(config, lambda uid: program_factory(uid, tally))
     network.stop_when(lambda: tally.decided)
@@ -189,7 +184,6 @@ def run_ring_election(
     fifo: bool = False,
     with_identifiers: bool = True,
     size_known: bool = True,
-    batch_sampling: bool = True,
     max_events: Optional[int] = None,
     max_time: Optional[float] = None,
     topology: Optional[Topology] = None,
@@ -213,7 +207,6 @@ def run_ring_election(
         fifo=fifo,
         with_identifiers=with_identifiers,
         size_known=size_known,
-        batch_sampling=batch_sampling,
         topology=topology,
     )
     if max_events is None:

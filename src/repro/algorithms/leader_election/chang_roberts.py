@@ -74,7 +74,6 @@ def run_chang_roberts(
     *,
     delay: Optional[Union[DelayDistribution, AdversarialDelay]] = None,
     seed: int = 0,
-    batch_sampling: bool = True,
     max_events: Optional[int] = None,
     on_budget: str = "stop",
 ) -> RingElectionResult:
@@ -86,7 +85,6 @@ def run_chang_roberts(
         bidirectional=False,
         delay=delay,
         seed=seed,
-        batch_sampling=batch_sampling,
         with_identifiers=True,
         max_events=max_events,
         on_budget=on_budget,

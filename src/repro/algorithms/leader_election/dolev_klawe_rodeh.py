@@ -97,7 +97,6 @@ def run_dolev_klawe_rodeh(
     *,
     delay: Optional[Union[DelayDistribution, AdversarialDelay]] = None,
     seed: int = 0,
-    batch_sampling: bool = True,
     max_events: Optional[int] = None,
     on_budget: str = "stop",
 ) -> RingElectionResult:
@@ -109,7 +108,6 @@ def run_dolev_klawe_rodeh(
         bidirectional=False,
         delay=delay,
         seed=seed,
-        batch_sampling=batch_sampling,
         fifo=True,
         with_identifiers=True,
         max_events=max_events,

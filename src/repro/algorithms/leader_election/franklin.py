@@ -127,7 +127,6 @@ def run_franklin(
     *,
     delay: Optional[Union[DelayDistribution, AdversarialDelay]] = None,
     seed: int = 0,
-    batch_sampling: bool = True,
     max_events: Optional[int] = None,
     on_budget: str = "stop",
 ) -> RingElectionResult:
@@ -139,7 +138,6 @@ def run_franklin(
         bidirectional=True,
         delay=delay,
         seed=seed,
-        batch_sampling=batch_sampling,
         fifo=True,
         with_identifiers=True,
         max_events=max_events,

@@ -160,7 +160,6 @@ def run_itai_rodeh(
     delay: Optional[Union[DelayDistribution, AdversarialDelay]] = None,
     seed: int = 0,
     identity_space: Optional[int] = None,
-    batch_sampling: bool = True,
     max_events: Optional[int] = None,
     on_budget: str = "stop",
 ) -> RingElectionResult:
@@ -172,7 +171,6 @@ def run_itai_rodeh(
         bidirectional=False,
         delay=delay,
         seed=seed,
-        batch_sampling=batch_sampling,
         with_identifiers=False,
         max_events=max_events,
         on_budget=on_budget,

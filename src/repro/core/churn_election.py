@@ -30,10 +30,7 @@ during an outage can only finish after the recovery.  Leader-downtime under a
 crash-recover script is therefore bounded below by the remaining outage, and
 quiescent scripts are the ones with a termination guarantee.
 
-Churn runs do not use the :class:`~repro.core.messages.HopMessagePool`: the
-recycler's unobservability guard is tuned for the single-token steady state
-and the allocation win is irrelevant next to heartbeat traffic.  Every send
-allocates a fresh epoch-stamped message.
+Every send allocates a fresh epoch-stamped message.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpochHopMessage(HopMessage):
     """A ``<hop>`` token stamped with the election epoch that sent it."""
 
@@ -149,9 +146,8 @@ class ChurnAwareElectionProgram(AbeElectionProgram):
             tick_period=tick_period,
             purge_at_active=purge_at_active,
             # A churn run stops on "quiescent script + one live leader", not
-            # on the first crowning; and pooled messages would be epoch-less.
+            # on the first crowning.
             stop_network_on_election=False,
-            hop_pool=None,
         )
         self.status: ChurnElectionStatus = status
         self.heartbeat_interval = float(heartbeat_interval)
@@ -406,7 +402,6 @@ def build_churn_election_network(
     enable_trace: bool = False,
     validate_model: bool = True,
     expected_delay_bound: Optional[float] = None,
-    batch_sampling: bool = True,
     batch_ticks: bool = True,
     heartbeat_interval: Optional[float] = None,
     leader_timeout: Optional[float] = None,
@@ -439,7 +434,6 @@ def build_churn_election_network(
         clock_drift_factory=clock_drift_factory,
         size_known=True,
         enable_trace=enable_trace,
-        batch_sampling=batch_sampling,
     )
 
     # The model is constructed unconditionally: even when validation is off
@@ -518,7 +512,6 @@ def run_churn_election(
     enable_trace: bool = False,
     validate_model: bool = True,
     expected_delay_bound: Optional[float] = None,
-    batch_sampling: bool = True,
     batch_ticks: bool = True,
     heartbeat_interval: Optional[float] = None,
     leader_timeout: Optional[float] = None,
@@ -558,7 +551,6 @@ def run_churn_election(
         enable_trace=enable_trace,
         validate_model=validate_model,
         expected_delay_bound=expected_delay_bound,
-        batch_sampling=batch_sampling,
         batch_ticks=batch_ticks,
         heartbeat_interval=heartbeat_interval,
         leader_timeout=leader_timeout,

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.activation import ActivationSchedule, AdaptiveActivation
-from repro.core.messages import HopMessage, HopMessagePool
+from repro.core.messages import HopMessage
 from repro.network.node import Node, NodeProgram
 from repro.sim.process import SharedTickProcess
 
@@ -155,12 +155,6 @@ class AbeElectionProgram(NodeProgram):
         clocks are drift-free).  The runner injects it under
         ``batch_ticks=True``; when ``None`` the node runs its own
         :class:`~repro.sim.process.TickProcess`.
-    hop_pool:
-        Optional shared :class:`~repro.core.messages.HopMessagePool`.  Sends
-        draw recycled message records from it; the ring channels release
-        consumed messages back (refcount-guarded, see
-        :meth:`~repro.network.channel.Channel._deliver`).  ``None`` allocates
-        a fresh :class:`~repro.core.messages.HopMessage` per send.
     """
 
     def __init__(
@@ -171,7 +165,6 @@ class AbeElectionProgram(NodeProgram):
         purge_at_active: bool = True,
         stop_network_on_election: bool = True,
         tick_driver: Optional[SharedTickProcess] = None,
-        hop_pool: Optional[HopMessagePool] = None,
     ) -> None:
         super().__init__()
         if tick_period <= 0:
@@ -182,10 +175,6 @@ class AbeElectionProgram(NodeProgram):
         self.purge_at_active = purge_at_active
         self.stop_network_on_election = stop_network_on_election
         self.tick_driver = tick_driver
-        # Shared per-run HopMessage free list (see repro.core.messages); when
-        # absent every send allocates, as before the pool existed.
-        self.hop_pool = hop_pool
-        self._acquire_message = None if hop_pool is None else hop_pool.acquire
         self.state = NodeState.IDLE
         self.d = 1
         self.messages_received = 0
@@ -259,9 +248,7 @@ class AbeElectionProgram(NodeProgram):
         self.times_activated += 1
         self.status.activations += 1
         self.trace("state", state=str(self.state), d=self.d)
-        acquire = self._acquire_message
-        message = HopMessage(hop=1) if acquire is None else acquire(1)
-        self.send(RING_PORT, message)
+        self.send(RING_PORT, HopMessage(hop=1))
 
     # ---------------------------------------------------------------- receive
 
@@ -297,13 +284,7 @@ class AbeElectionProgram(NodeProgram):
             # verification layer can flag it instead of silently mutating
             # behaviour.
             self.status.hop_overflows += 1
-        acquire = self._acquire_message
-        if acquire is None:
-            forwarded = payload.forwarded(new_hop, knocked_out_idle)
-        else:
-            forwarded = acquire(
-                new_hop, payload.token_id, payload.knockout or knocked_out_idle
-            )
+        forwarded = payload.forwarded(new_hop, knocked_out_idle)
         self.messages_forwarded += 1
         if knocked_out_idle:
             self.status.knockouts += 1

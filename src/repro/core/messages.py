@@ -13,29 +13,14 @@ two extra fields that the algorithm itself never reads:
 Keeping this metadata out of the algorithm's decision logic preserves
 anonymity and keeps the reproduction faithful: the algorithm behaves exactly
 as if the message were the bare ``<hop>``.
-
-Hot-path design
----------------
-Every forward used to allocate a fresh :class:`HopMessage` -- the last
-per-message allocation on the election path after PR 2 pooled the envelopes.
-:class:`HopMessagePool` recycles consumed messages through a bounded free
-list, mirroring the envelope pool in :mod:`repro.network.channel`: a message
-is only ever *released* by the delivering channel once an exact
-``sys.getrefcount`` check proves nothing else (a tracer, a test, a
-fault-injection wrapper, the still-live envelope) can observe it, and
-:meth:`HopMessage.renew` reinitialises every field on reuse so no state can
-leak between logical messages.  The class therefore stays a (now mutable)
-dataclass: field equality and the differential harness's canonical form are
-unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
 
-__all__ = ["HopMessage", "HopMessagePool"]
+__all__ = ["HopMessage"]
 
 _token_counter = itertools.count()
 
@@ -44,12 +29,7 @@ def _next_token_id() -> int:
     return next(_token_counter)
 
 
-#: Per-pool free-list bound; in-flight messages live outside the pool, so this
-#: only caps how many parked records a run keeps between bursts.
-_HOP_POOL_LIMIT = 64
-
-
-@dataclass
+@dataclass(frozen=True)
 class HopMessage:
     """The ``<hop>`` message of the election algorithm.
 
@@ -62,16 +42,6 @@ class HopMessage:
     knockout:
         Whether the message has turned an idle node passive at some point
         during its lifetime (analysis only).
-
-    Instances are mutable only through :meth:`renew`, and only a
-    :class:`HopMessagePool` may call it -- on a record the refcount guard has
-    proven unobservable.  Everyone else must treat messages as frozen.
-
-    Dropping ``frozen=True`` also drops hashability (``eq=True`` without
-    ``frozen`` sets ``__hash__ = None``): messages can no longer be set
-    members or dict keys, which is the correct default for recyclable
-    records whose field-based hash would change on renewal.  Key by
-    ``token_id`` (stable across forwards) where an identity is needed.
     """
 
     hop: int
@@ -81,7 +51,6 @@ class HopMessage:
     def __post_init__(self) -> None:
         if self.hop < 1:
             raise ValueError(f"hop counter must be >= 1, got {self.hop}")
-        self._released = False
 
     def forwarded(self, new_hop: int, knocked_out_idle: bool) -> "HopMessage":
         """The message as re-sent by a forwarding node.
@@ -96,71 +65,6 @@ class HopMessage:
             knockout=self.knockout or knocked_out_idle,
         )
 
-    def renew(self, hop: int, token_id: Optional[int], knockout: bool) -> "HopMessage":
-        """Reinitialise a pooled message for its next flight.
-
-        Every field is overwritten (``token_id=None`` draws a fresh logical
-        identity, for spontaneous activations), so no state can leak from the
-        previous message.  Returns ``self`` for chaining on the send path.
-        """
-        if hop < 1:
-            raise ValueError(f"hop counter must be >= 1, got {hop}")
-        self.hop = hop
-        self.token_id = _next_token_id() if token_id is None else token_id
-        self.knockout = knockout
-        self._released = False
-        return self
-
     def __repr__(self) -> str:
         flag = "*" if self.knockout else ""
         return f"<hop={self.hop}{flag}#{self.token_id}>"
-
-
-class HopMessagePool:
-    """Bounded free list recycling consumed :class:`HopMessage` records.
-
-    One pool is shared by every node of an election run (the runner injects
-    it); channels release a delivered message into it only after the exact
-    refcount check in :meth:`~repro.network.channel.Channel._deliver` proves
-    the record unobservable, so reuse can never be seen by a tracer, a test
-    holding the message, or a retransmission wrapper that duplicated the
-    envelope.  :meth:`release` additionally guards against double release --
-    the one bug class the refcount check cannot express.
-    """
-
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: List[HopMessage] = []
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(
-        self, hop: int, token_id: Optional[int] = None, knockout: bool = False
-    ) -> HopMessage:
-        """A message ready to send: recycled if available, fresh otherwise."""
-        free = self._free
-        if free:
-            return free.pop().renew(hop, token_id, knockout)
-        return HopMessage(hop=hop, knockout=knockout) if token_id is None else HopMessage(
-            hop=hop, token_id=token_id, knockout=knockout
-        )
-
-    def release(self, message: HopMessage) -> None:
-        """Park a provably-unobservable message for reuse (bounded).
-
-        Callers must have established unobservability (the channel's exact
-        refcount guard); releasing the same record twice would alias two
-        future logical messages, so it is rejected loudly.
-        """
-        if message._released:
-            raise RuntimeError(
-                f"HopMessage {message!r} released twice: a pooled message was "
-                "handed back while already parked, which would alias two "
-                "in-flight messages"
-            )
-        free = self._free
-        if len(free) < _HOP_POOL_LIMIT:
-            message._released = True
-            free.append(message)

@@ -19,7 +19,6 @@ from typing import Callable, Optional, Union
 
 from repro.core.activation import ActivationSchedule, AdaptiveActivation
 from repro.core.election import AbeElectionProgram, ElectionStatus, NodeState
-from repro.core.messages import HopMessagePool
 from repro.models.abe import ABEModel
 from repro.network.adversary import AdversarialDelay
 from repro.network.delays import DelayDistribution, ExponentialDelay
@@ -125,7 +124,6 @@ def build_election_network(
     enable_trace: bool = False,
     validate_model: bool = True,
     expected_delay_bound: Optional[float] = None,
-    batch_sampling: bool = True,
     batch_ticks: bool = True,
 ) -> tuple:
     """Construct the ring network and shared status for one election run.
@@ -146,7 +144,7 @@ def build_election_network(
     delay models (a delivery then never ties a tick instant, which is the
     only way the coarser event granularity could reorder work); the
     engine-level ``events_processed`` necessarily differs, so compare that
-    figure within one mode, as with ``batch_sampling``.
+    figure within one mode.
     """
     if n < 2:
         raise ValueError(f"the election algorithm needs a ring of size n >= 2, got {n}")
@@ -164,7 +162,6 @@ def build_election_network(
         clock_drift_factory=clock_drift_factory,
         size_known=True,
         enable_trace=enable_trace,
-        batch_sampling=batch_sampling,
     )
 
     if validate_model:
@@ -181,24 +178,15 @@ def build_election_network(
         )
         model.validate_config(config)
 
-    hop_pool = HopMessagePool()
-
     def program_factory(uid: int) -> AbeElectionProgram:
         return AbeElectionProgram(
             status=status,
             schedule=schedule,
             tick_period=tick_period,
             purge_at_active=purge_at_active,
-            hop_pool=hop_pool,
         )
 
     network = Network(config, program_factory)
-    # Ring channels carry only HopMessages: let deliveries hand consumed,
-    # provably-unobservable messages back to the shared pool (the channel's
-    # exact refcount guard vetoes the recycle whenever a tracer, test or
-    # wrapper still holds the message or its envelope).
-    for channel in network.channels:
-        channel.payload_recycler = hop_pool.release
     if batch_ticks:
         driver = SharedTickProcess(
             network.simulator, period=tick_period, expected_members=n
@@ -267,7 +255,6 @@ def run_election(
     enable_trace: bool = False,
     validate_model: bool = True,
     expected_delay_bound: Optional[float] = None,
-    batch_sampling: bool = True,
     batch_ticks: bool = True,
     max_events: Optional[int] = None,
     max_time: Optional[float] = None,
@@ -288,8 +275,8 @@ def run_election(
     -- see the stream-migration note in :mod:`repro.core.vector_core`).
     The vector core rejects per-node clock knobs (``clock_bounds`` other
     than ``(1, 1)``, ``clock_drift_factory``) and ``enable_trace``;
-    ``batch_sampling``/``batch_ticks`` are object-core performance toggles
-    and are ignored there (vectorization subsumes both).
+    ``batch_ticks`` is an object-core performance toggle and is ignored
+    there (vectorization subsumes it).
 
     Examples
     --------
@@ -350,7 +337,6 @@ def run_election(
         enable_trace=enable_trace,
         validate_model=validate_model,
         expected_delay_bound=expected_delay_bound,
-        batch_sampling=batch_sampling,
         batch_ticks=batch_ticks,
     )
     return run_election_on_network(

@@ -26,9 +26,9 @@ active node per round, and hop counters above ``n`` are tallied as
 ``hop_overflows`` -- so every :class:`~repro.core.runner.ElectionResult`
 field keeps its object-core meaning.
 
-**Stream migration.** Like the PR 4 ``batch_sampling``/``batch_ticks``
-migrations documented in ``tests/harness/differential.py``, the vector core
-draws its randomness from its *own* seed-deterministic numpy streams
+**Stream migration.** Like the stream migrations documented in
+``tests/harness/differential.py``, the vector core draws its randomness
+from its *own* seed-deterministic numpy streams
 (``vector/coins``, ``vector/delays``, ``vector/processing``,
 ``vector/loss`` via :meth:`~repro.sim.rng.RandomSource.numpy_stream`)
 instead of the object core's per-node/per-channel ``random.Random``
@@ -36,8 +36,8 @@ streams.  A vector run is therefore bit-reproducible per seed but follows a
 *different sample path* than the object run of the same seed: the two cores
 are compared distributionally and on invariants (unique leader, agreement,
 conservation laws -- see ``tests/test_property_vector_core.py``), never
-event-for-event.  The object engine remains the differential reference and
-its 17 golden fingerprints are untouched.
+event-for-event.  The object engine remains the differential reference:
+the golden fingerprints pin the object core only.
 
 Engine-level accounting (``events_processed``) counts activation rounds plus
 message deliveries -- necessarily different from the object engine's event
@@ -553,7 +553,7 @@ class VectorRingElection:
                     status[dst] = _LEADER
                     status_col[dst] = _LEADER
                     active_count -= 1
-                    self.leader_uid = dst
+                    self.leader_uid = int(dst)
                     self.election_time = when
                     self.leaders_elected += 1
                     break

@@ -57,7 +57,6 @@ from repro.network.topology import (
     unidirectional_ring,
 )
 from repro.network.network import Network, NetworkConfig
-from repro.network.sampling import BlockDelaySampler
 from repro.network.adversary import (
     AdversarialDelay,
     MaxDelayAdversary,
@@ -111,7 +110,6 @@ __all__ = [
     "random_connected",
     "Network",
     "NetworkConfig",
-    "BlockDelaySampler",
     "AdversarialDelay",
     "MaxDelayAdversary",
     "TargetedSlowdownAdversary",

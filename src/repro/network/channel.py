@@ -28,22 +28,19 @@ hoisted to construction time wherever possible:
   closure, ``Event`` or ``EventHandle``;
 * message counts are plain integer increments on the channel and the network
   (the network's :class:`~repro.sim.monitor.MetricsCollector` reads them back
-  through externally bound counters);
-* envelopes are recycled through a per-channel free list.  Recycling is
-  guarded by an exact ``sys.getrefcount`` check at the end of ``_deliver``:
-  an envelope that anything else still references (a caller that kept
-  ``transmit``'s return value, a fault-injection wrapper frame, a tracer
-  consumer) is simply left to the garbage collector, so reuse can never be
-  observed.  A recycled envelope is fully reinitialised -- fresh
-  ``envelope_id`` included -- via :meth:`~repro.network.messages.Envelope.renew`.
+  through externally bound counters).
+
+Every message gets a fresh :class:`~repro.network.messages.Envelope` and
+every delay is one ``sample(rng)`` call on the channel's own stream, so a
+run is a pure function of its seed and nothing depends on how the
+interpreter counts references.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 from functools import partial
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.network.delays import DelayDistribution
 from repro.network.messages import Envelope
@@ -54,26 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.node import Node
 
 __all__ = ["Channel", "FifoChannel"]
-
-_getrefcount = getattr(sys, "getrefcount", None)
-
-#: Exact reference count of an envelope at the end of ``_deliver`` when the
-#: only remaining references are the run loop's heap entry, ``_deliver``'s
-#: argument binding and the ``getrefcount`` argument itself.
-_POOLABLE_REFS = 3
-
-#: Per-channel envelope free-list bound; in-flight envelopes live outside the
-#: pool, so this only caps how many parked records a bursty channel keeps.
-_ENVELOPE_POOL_LIMIT = 32
-
-#: Exact reference count of a delivered *payload* that nothing but the
-#: ``_deliver`` frame can still observe: the frame's ``payload`` local and the
-#: ``getrefcount`` argument itself.  Checked only after the envelope's own
-#: ``payload`` slot has been cleared by the envelope recycle, so a live
-#: envelope (held by a sender, a test, or a retransmission wrapper that
-#: duplicated it) keeps its payload out of the pool automatically.
-_PAYLOAD_POOLABLE_REFS = 2
-
 
 class Channel:
     """A unidirectional, non-FIFO channel with stochastic delays.
@@ -91,12 +68,8 @@ class Channel:
         or an :class:`~repro.network.adversary.AdversarialDelay` (delays chosen
         by a strategy, subject to the model's constraints).
     rng:
-        Random stream for delay sampling (typically ``source.rng`` -- one
-        stream per channel is derived by the network).
-    delay_sampler:
-        Optional :class:`~repro.network.sampling.BlockDelaySampler` used
-        instead of per-message ``delay_model.sample`` calls.  Built by the
-        network when its configuration enables batch sampling.
+        Random stream for delay sampling (one stream per channel is derived
+        by the network).
     """
 
     def __init__(
@@ -107,14 +80,12 @@ class Channel:
         destination_port: int,
         delay_model: Any,
         rng: random.Random,
-        delay_sampler: Optional[Any] = None,
     ) -> None:
         self.channel_id = channel_id
         self.source = source
         self.destination = destination
         self.destination_port = destination_port
         self.rng = rng
-        self.delay_sampler = delay_sampler
         self.messages_sent = 0
         self.messages_delivered = 0
         self.total_delay = 0.0
@@ -126,11 +97,6 @@ class Channel:
         self._tracer = network.tracer if network.tracer.enabled else None
         self._source_uid = source.uid
         self._destination_uid = destination.uid
-        self._envelope_pool: List[Envelope] = []
-        # Optional payload free-list hook (e.g. the election runner installs
-        # HopMessagePool.release).  Only consulted once the refcount guards
-        # below prove the delivered payload unobservable.
-        self.payload_recycler = None
         # Subclasses that bend delivery times (FIFO) override _delivery_time;
         # detecting the override once lets the base case skip the method call.
         self._plain_delivery = type(self)._delivery_time is Channel._delivery_time
@@ -140,31 +106,12 @@ class Channel:
 
     @property
     def delay_model(self) -> Any:
-        """The channel's delay model (settable; resampling hooks follow it)."""
+        """The channel's delay model (settable; the prebound draw follows it)."""
         return self._delay_model
 
     @delay_model.setter
     def delay_model(self, model: Any) -> None:
         self._delay_model = model
-        # A block sampler holding delays prefetched from a *different*
-        # distribution is stale: its remaining draws must never be served
-        # under the new model.  A batch-configured channel gets a *fresh*
-        # sampler for the new distribution (continuing the same channel rng
-        # stream), so swapping models mid-run neither serves stale draws nor
-        # silently degrades the channel to per-message sampling.  The
-        # construction-time assignment keeps the original sampler, whose
-        # distribution is the very model being set.
-        sampler = getattr(self, "delay_sampler", None)
-        if sampler is not None and sampler.distribution is not model:
-            if isinstance(model, DelayDistribution):
-                from repro.network.sampling import BlockDelaySampler  # no cycle
-
-                self.delay_sampler = BlockDelaySampler(
-                    model, self.rng, block_size=sampler.block_size
-                )
-            else:
-                # Adversarial models cannot be block-sampled.
-                self.delay_sampler = None
         # Prebind the iid sampling method so transmit skips isinstance
         # dispatch; anything else (adversarial, invalid) takes the slow path,
         # which validates and raises on truly unsupported models.
@@ -176,21 +123,17 @@ class Channel:
     def set_delay_model(self, model: Any) -> None:
         """Swap the delay model mid-run (explicit spelling of the property set).
 
-        Guarantees audited by ``tests/test_network_channels_nodes.py``:
-        delays prefetched for the previous distribution are discarded, a
-        batch-sampling channel keeps batch sampling under the new
-        distribution, and a FIFO channel's delivery-order clamp is preserved
-        (the no-overtaking history is per-channel state, not per-model).
+        Guarantees audited by ``tests/test_channel_delay_swap.py``: every
+        delay drawn after the swap comes from the new model (the channel
+        keeps its rng stream), and a FIFO channel's delivery-order clamp is
+        preserved (the no-overtaking history is per-channel state, not
+        per-model).
         """
         self.delay_model = model
 
     # ------------------------------------------------------------------ sends
 
     def _sample_delay(self, payload: Any, send_time: float) -> float:
-        sampler = self.delay_sampler
-        if sampler is not None:
-            return sampler.next()  # blocks are validated at refill time
-
         from repro.network.adversary import AdversarialDelay  # local import, no cycle
 
         if isinstance(self._delay_model, AdversarialDelay):
@@ -217,62 +160,29 @@ class Channel:
         return send_time + delay
 
     def transmit(self, payload: Any) -> Envelope:
-        """Send ``payload`` across the channel; returns the in-flight envelope.
-
-        The returned envelope may be recycled for a later message once this
-        delivery completes, so callers that need its fields beyond that point
-        must copy them rather than let go of the object -- holding a
-        reference is always safe in itself, because the refcount guard then
-        simply skips the recycle.
-        """
+        """Send ``payload`` across the channel; returns the in-flight envelope."""
         simulator = self._simulator
         send_time = simulator._now
-        sampler = self.delay_sampler
-        if sampler is not None:
-            # Inlined sampler.next(): serving a prefetched delay is the whole
-            # point of batch mode, so skip even the method dispatch.  Blocks
-            # are validated non-negative at refill time by the sampler.
-            index = sampler._index
-            if index < sampler._size:
-                sampler._index = index + 1
-                delay = sampler._block[index]
-            else:
-                delay = sampler._refill()[0]
-                sampler._index = 1
+        draw = self._draw
+        if draw is not None:
+            delay = draw(self.rng)
+            if delay < 0:
+                raise ValueError(f"delay model produced a negative delay: {delay}")
         else:
-            draw = self._draw
-            if draw is not None:
-                delay = draw(self.rng)
-                if delay < 0:
-                    raise ValueError(
-                        f"delay model produced a negative delay: {delay}"
-                    )
-            else:
-                delay = self._sample_delay(payload, send_time)
+            delay = self._sample_delay(payload, send_time)
         if self._plain_delivery:
             deliver_time = send_time + delay
         else:
             deliver_time = self._delivery_time(send_time, delay)
-        pool = self._envelope_pool
-        if pool:
-            envelope = pool.pop().renew(
-                payload,
-                self._source_uid,
-                self._destination_uid,
-                send_time,
-                delay,
-                deliver_time,
-            )
-        else:
-            envelope = Envelope(
-                payload=payload,
-                source=self._source_uid,
-                destination=self._destination_uid,
-                channel_id=self.channel_id,
-                send_time=send_time,
-                delay=delay,
-                deliver_time=deliver_time,
-            )
+        envelope = Envelope(
+            payload=payload,
+            source=self._source_uid,
+            destination=self._destination_uid,
+            channel_id=self.channel_id,
+            send_time=send_time,
+            delay=delay,
+            deliver_time=deliver_time,
+        )
         self.messages_sent += 1
         network = self.network
         network._messages_sent += 1
@@ -321,24 +231,6 @@ class Channel:
                 partial(self.destination.deliver, payload),
                 self.destination_port,
             )
-        # Recycle iff provably unobservable: the exact refcount (run-loop heap
-        # entry + our argument binding + getrefcount argument) proves nothing
-        # else -- sender, wrapper, test -- still holds the envelope.
-        if (
-            _getrefcount is not None
-            and len(self._envelope_pool) < _ENVELOPE_POOL_LIMIT
-            and _getrefcount(envelope) == _POOLABLE_REFS
-        ):
-            envelope.payload = None
-            self._envelope_pool.append(envelope)
-            # With the envelope's slot cleared, a payload only our local still
-            # references is equally unobservable: hand it to the message pool.
-            # Any other holder -- tracer, test, processing-delay closure, a
-            # retransmission wrapper that kept the envelope or duplicated the
-            # delivery -- raises the count and vetoes the recycle.
-            recycler = self.payload_recycler
-            if recycler is not None and _getrefcount(payload) == _PAYLOAD_POOLABLE_REFS:
-                recycler(payload)
 
     # ------------------------------------------------------------------ stats
 

@@ -85,24 +85,13 @@ class DelayDistribution(abc.ABC):
             raise ValueError("count must be non-negative")
         return [self.sample(rng) for _ in range(count)]
 
-    # Batch sampling ----------------------------------------------------------
+    # Vectorized sampling -----------------------------------------------------
     #
-    # The per-message cost of ``sample`` (a Python method call plus one or more
-    # ``random.Random`` calls) dominates channel transmission on the hot path.
-    # ``sample_block`` draws a block of future delays at once so a channel can
-    # amortize that cost; the default implementation is bit-identical to
-    # repeated ``sample`` calls on the same stream.  Distributions with a
-    # closed-form numpy sampler additionally implement ``sample_array``, which
-    # :class:`~repro.network.sampling.BlockDelaySampler` uses to vectorize
-    # block refills (a different, but still seed-deterministic, stream).
-
-    def sample_block(self, rng: random.Random, count: int) -> List[float]:
-        """Draw ``count`` delays from ``rng``, identical to ``count`` calls of
-        :meth:`sample` on the same stream."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        sample = self.sample
-        return [sample(rng) for _ in range(count)]
+    # Channels draw one delay per message through ``sample``.  Distributions
+    # with a closed-form numpy sampler additionally implement ``sample_array``,
+    # which the columnar election core (:mod:`repro.core.vector_core`) uses to
+    # draw a whole block of delays per numpy call (a different, but still
+    # seed-deterministic, stream).
 
     def supports_vectorized(self) -> bool:
         """Whether :meth:`sample_array` provides a numpy-vectorized sampler."""
@@ -140,11 +129,6 @@ class ConstantDelay(DelayDistribution):
 
     def sample(self, rng: random.Random) -> float:
         return self.value
-
-    def sample_block(self, rng: random.Random, count: int) -> List[float]:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.value] * count
 
     def supports_vectorized(self) -> bool:
         return True
@@ -209,13 +193,6 @@ class ExponentialDelay(DelayDistribution):
 
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self._mean)
-
-    def sample_block(self, rng: random.Random, count: int) -> List[float]:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        expovariate = rng.expovariate
-        rate = 1.0 / self._mean
-        return [expovariate(rate) for _ in range(count)]
 
     def supports_vectorized(self) -> bool:
         return True
@@ -436,7 +413,7 @@ class HyperExponentialDelay(DelayDistribution):
 
         # One fixed-width row of uniforms per element (component choice, then
         # an inverse-CDF exponential), so the vectorized stream is independent
-        # of how block refills are chunked.
+        # of how the caller chunks its requests.
         u = gen.random((count, 2))
         index = np.minimum(
             np.searchsorted(self._cumulative, u[:, 0], side="left"),
@@ -486,10 +463,9 @@ class MixtureDelay(DelayDistribution):
     def sample_array(self, gen: Any, count: int):
         import numpy as np
 
-        # Multi-pass refill (one choice pass, then one draw pass per
-        # component in declaration order): deterministic per seed, but the
-        # stream depends on the refill chunking -- compare vectorized runs of
-        # mixtures at one ``batch_block_size``.
+        # Multi-pass draw (one choice pass, then one draw pass per component
+        # in declaration order): deterministic per seed, but the stream
+        # depends on how the caller chunks its requests.
         u = gen.random(count)
         index = np.minimum(
             np.searchsorted(self._cumulative, u, side="left"),
@@ -560,9 +536,9 @@ class TruncatedDelay(DelayDistribution):
         out = np.asarray(self.inner.sample_array(gen, count), dtype=float)
         # Per-element rejection rounds mirroring the scalar loop: every
         # element gets up to max_rejects inner draws before the cap applies.
-        # The rounds make the refill multi-pass, so the vectorized stream
-        # depends on the refill chunking (deterministic per seed; compare
-        # runs at one ``batch_block_size``).
+        # The rounds make the draw multi-pass, so the vectorized stream
+        # depends on how the caller chunks its requests (deterministic per
+        # seed).
         for _ in range(self.max_rejects - 1):
             over = out > self.cap
             pending = int(over.sum())

@@ -7,12 +7,7 @@ and receive raw payloads -- but tracers, metrics and the verification checkers
 work on envelopes.
 
 Hot-path note: envelopes are a per-message allocation, so the class is a
-``slots=True`` dataclass (no instance ``__dict__``, faster attribute access)
-and channels recycle their envelopes through a per-channel free list,
-guarded by an exact refcount check so an envelope anyone still references
-is never reused (see :class:`~repro.network.channel.Channel`).  A recycled
-envelope gets a fresh ``envelope_id``, so ids remain process-wide unique
-even when the object is reused.
+``slots=True`` dataclass (no instance ``__dict__``, faster attribute access).
 """
 
 from __future__ import annotations
@@ -66,31 +61,6 @@ class Envelope:
         if self.deliver_time is None:
             return None
         return self.deliver_time - self.send_time
-
-    def renew(
-        self,
-        payload: Any,
-        source: int,
-        destination: int,
-        send_time: float,
-        delay: float,
-        deliver_time: float,
-    ) -> "Envelope":
-        """Reinitialise a pooled envelope for its next flight.
-
-        Overwrites every per-message field (``channel_id`` is fixed for the
-        owning channel's lifetime) and assigns a fresh ``envelope_id``, so no
-        state can leak from the previous message.  Returns ``self`` for
-        chaining on the transmit hot path.
-        """
-        self.payload = payload
-        self.source = source
-        self.destination = destination
-        self.send_time = send_time
-        self.delay = delay
-        self.deliver_time = deliver_time
-        self.envelope_id = next(_envelope_counter)
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -30,7 +30,6 @@ from repro.network.adversary import AdversarialDelay
 from repro.network.channel import Channel, FifoChannel
 from repro.network.delays import ConstantDelay, DelayDistribution
 from repro.network.node import Node, NodeProgram
-from repro.network.sampling import DEFAULT_BLOCK_SIZE, BlockDelaySampler
 from repro.network.topology import Topology
 from repro.sim.clock import ClockDriftModel, LocalClock
 from repro.sim.engine import Simulator
@@ -83,27 +82,6 @@ class NetworkConfig:
         Whether to record a structured trace (disable for large sweeps).
     trace_limit:
         Maximum number of trace events retained.
-    batch_sampling:
-        When true (the default since the fast-path migration; see
-        docs/PERFORMANCE.md "Fast defaults"), channels draw their delays
-        through a per-channel
-        :class:`~repro.network.sampling.BlockDelaySampler` (numpy-vectorized
-        where the distribution supports it) instead of one ``sample`` call per
-        message.  Results stay a deterministic function of ``seed`` but form a
-        different random stream than per-message sampling, so compare runs
-        within one mode; pass ``False`` to reproduce pre-migration streams.
-        Ignored for adversarial delay models.
-    batch_block_size:
-        Delays prefetched per full-size sampler refill when ``batch_sampling``
-        is on; refills grow geometrically up to this size.  The served delay
-        stream is independent of the block size except for two corners
-        (still deterministic per seed; compare such runs at one block size):
-        exact-mode (non-vectorized) samplers combined with
-        ``processing_delay``, where both consume the same channel rng and the
-        refill chunking changes their interleaving; and vectorized composite
-        distributions whose refill makes several passes over the block
-        (mixtures, truncation, dynamic routing), where the chunking changes
-        how the passes interleave on the sampler's generator.
     """
 
     topology: Topology
@@ -119,8 +97,6 @@ class NetworkConfig:
     knowledge_factory: Optional[Callable[[int], Dict[str, Any]]] = None
     enable_trace: bool = True
     trace_limit: Optional[int] = 100_000
-    batch_sampling: bool = True
-    batch_block_size: int = DEFAULT_BLOCK_SIZE
 
 
 class Network:
@@ -212,20 +188,13 @@ class Network:
             source = self.nodes[source_uid]
             destination = self.nodes[destination_uid]
             delay_model = self._resolve_delay_model(channel_id, source_uid, destination_uid)
-            channel_rng = self.random_source.stream(f"channel/{channel_id}")
-            delay_sampler = None
-            if self.config.batch_sampling and isinstance(delay_model, DelayDistribution):
-                delay_sampler = BlockDelaySampler(
-                    delay_model, channel_rng, block_size=self.config.batch_block_size
-                )
             channel = channel_cls(
                 channel_id=channel_id,
                 source=source,
                 destination=destination,
                 destination_port=destination.in_degree,
                 delay_model=delay_model,
-                rng=channel_rng,
-                delay_sampler=delay_sampler,
+                rng=self.random_source.stream(f"channel/{channel_id}"),
             )
             destination.add_in_channel(channel)
             source.add_out_channel(channel)
@@ -262,14 +231,9 @@ class Network:
         if self._started:
             return
         self._started = True
-        self.simulator.schedule_many(
-            (
-                (0.0, node.program.on_start)
-                for node in self.nodes
-                if node.program is not None
-            ),
-            kind=EventKind.CONTROL,
-        )
+        for node in self.nodes:
+            if node.program is not None:
+                self.simulator.schedule(0.0, node.program.on_start, kind=EventKind.CONTROL)
 
     def run(
         self,

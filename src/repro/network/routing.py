@@ -92,9 +92,9 @@ class DynamicRoutingDelay(DelayDistribution):
     def sample_array(self, gen, count: int):
         import numpy as np
 
-        # Multi-pass refill (hop counts, then all per-hop draws): the
-        # vectorized stream is deterministic per seed but depends on the
-        # refill chunking -- compare runs at one ``batch_block_size``.
+        # Multi-pass draw (hop counts, then all per-hop draws): the
+        # vectorized stream is deterministic per seed but depends on how the
+        # caller chunks its requests.
         hops = np.full(count, self.base_hops, dtype=np.int64)
         if self.detour_probability > 0.0:
             # Extra hops are the Bernoulli(q) successes before the first

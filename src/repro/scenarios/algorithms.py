@@ -221,7 +221,6 @@ class ElectionScenarioTrial:
             tick_period=spec.tick_period,
             validate_model=spec.validate_model,
             expected_delay_bound=spec.expected_delay_bound,
-            batch_sampling=spec.batch_sampling,
             batch_ticks=spec.batch_ticks,
         )
         kwargs.update(spec.params)
@@ -263,7 +262,7 @@ class ElectionScenarioTrial:
             else:
                 crashes.append((fault.node_uid, fault.crash_time))
         kwargs = dict(self.kwargs)
-        for object_only in ("clock_bounds", "clock_drift_factory", "batch_sampling", "batch_ticks"):
+        for object_only in ("clock_bounds", "clock_drift_factory", "batch_ticks"):
             kwargs.pop(object_only, None)
         kwargs["message_loss"] = message_loss
         kwargs["crashes"] = tuple(crashes)
@@ -374,13 +373,12 @@ class BaselineScenarioTrial:
             supported=(
                 "delay",
                 "retransmission",
-                "batch_sampling",
                 "max_events",
                 "on_budget",
             ),
         )
         self.delay = _spec_delay(spec)
-        kwargs: Dict[str, Any] = dict(batch_sampling=spec.batch_sampling)
+        kwargs: Dict[str, Any] = {}
         if spec.max_events is not None:
             kwargs["max_events"] = spec.max_events
         if spec.on_budget != "stop":
@@ -451,7 +449,6 @@ class WaveScenarioTrial:
                 "clock_bounds",
                 "drift",
                 "faults",
-                "batch_sampling",
                 "max_events",
                 "max_time",
                 "on_budget",
@@ -472,7 +469,6 @@ class WaveScenarioTrial:
             processing_delay=build_delay(spec.processing_delay),
             clock_bounds=spec.clock_bounds,
             clock_drift_factory=DriftFactory(spec.drift) if spec.drift is not None else None,
-            batch_sampling=spec.batch_sampling,
             max_time=spec.max_time,
             on_budget=spec.on_budget,
         )
@@ -497,7 +493,6 @@ class WaveScenarioTrial:
             clock_bounds=fields["clock_bounds"],
             clock_drift_factory=fields["clock_drift_factory"],
             enable_trace=False,
-            batch_sampling=fields["batch_sampling"],
         )
         if self.algorithm == "echo-wave":
             factory = lambda uid: EchoProgram(is_initiator=(uid == self.initiator))  # noqa: E731

@@ -193,7 +193,6 @@ class ScenarioSpec:
     on_budget: str = "stop"
     expected_delay_bound: Optional[float] = None
     validate_model: bool = True
-    batch_sampling: bool = True
     batch_ticks: bool = True
     core: str = "object"
     params: Dict[str, Any] = field(default_factory=dict)

@@ -29,12 +29,8 @@ speed:
   ``(time, priority, sequence, fn, arg)`` tuple -- no :class:`Event`, no
   :class:`EventHandle`, no closure, no listener dispatch.  The message
   delivery path of :class:`~repro.network.channel.Channel` lives here;
-* fired :class:`Event` records whose handles were discarded are recycled
-  through a per-simulator free list, so timer/tick-heavy workloads reach a
-  steady state with no per-event allocation.  Recycling is guarded by an
-  exact ``sys.getrefcount`` check, so an event that is still observable
-  anywhere (a live :class:`EventHandle`, a listener that stored it) is never
-  reused and all handle semantics stay exact.
+* self-repeating work re-arms one fired :class:`Event` record through
+  :meth:`~Simulator.reschedule` instead of allocating a new one per firing.
 
 Because the fast-path entries carry no :class:`Event`, registered listeners
 do not see them.  Components that must observe *every* event regardless of
@@ -47,8 +43,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event, EventHandle, EventKind
 
@@ -62,21 +57,8 @@ QueueEntry = Tuple[float, int, int, Event]
 # per-event path, and these never change.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_heapify = heapq.heapify
 _isfinite = math.isfinite
 _INF = math.inf
-_getrefcount = getattr(sys, "getrefcount", None)
-
-#: Exact reference count of a just-fired event that nothing outside the run
-#: loop can observe: the popped ``entry`` tuple, the ``event`` local, and the
-#: ``getrefcount`` argument binding.  Anything above this means a handle,
-#: listener or callback kept a reference, and the event must not be recycled.
-_POOLABLE_REFS = 3
-
-#: Upper bound on the per-simulator event free list; enough to cover every
-#: concurrently pending timer of the largest experiment rings while keeping a
-#: pathological burst from pinning memory.
-_EVENT_POOL_LIMIT = 256
 
 
 class SimulationError(RuntimeError):
@@ -174,7 +156,6 @@ class Simulator:
         # still observe hooks installed mid-run (same trick as the listener
         # list, which is captured but mutated in place).
         self._before_event: List[Callable[[], None]] = []
-        self._free_events: List[Event] = []
 
     # ------------------------------------------------------------------ time
 
@@ -216,36 +197,15 @@ class Simulator:
         SimulationError
             If ``delay`` is negative or not a finite number.
         """
-        # Inlined schedule_at: this is the hottest handle-returning entry
-        # point (every timer and clock tick lands here), so the extra method
-        # call is worth avoiding.  The chained comparison rejects NaN (fails
-        # both bounds), +/-inf and negatives in one happy-path check.
+        # The chained comparison rejects NaN (fails both bounds), +/-inf and
+        # negatives in one happy-path check.
         if not (0.0 <= delay < _INF):
             if not _isfinite(delay):
                 raise SimulationError(f"delay must be finite, got {delay!r}")
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        free = self._free_events
-        if free:
-            # Reuse a fired record from the free list: eight attribute stores
-            # instead of an allocation (the run loop only parks events here
-            # once their refcount proves no handle or listener kept them).
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.sequence = sequence
-            event.callback = callback
-            event.kind = kind
-            event.payload = payload
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, priority, sequence, callback, kind, payload)
-        _heappush(self._queue, (time, priority, sequence, event))
-        self._events_scheduled += 1
-        return EventHandle(event)
+        return self.schedule_at(
+            self._now + delay, callback, priority=priority, kind=kind, payload=payload
+        )
 
     def schedule_at(
         self,
@@ -269,19 +229,7 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        free = self._free_events
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.sequence = sequence
-            event.callback = callback
-            event.kind = kind
-            event.payload = payload
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, priority, sequence, callback, kind, payload)
+        event = Event(time, priority, sequence, callback, kind, payload)
         _heappush(self._queue, (time, priority, sequence, event))
         self._events_scheduled += 1
         return EventHandle(event)
@@ -365,43 +313,6 @@ class Simulator:
         self._sequence = sequence + 1
         _heappush(self._queue, (time, priority, sequence, fn, arg))
         self._events_scheduled += 1
-
-    def schedule_many(
-        self,
-        items: Iterable[Tuple[float, Callable[[], None]]],
-        *,
-        priority: int = 0,
-        kind: EventKind = EventKind.GENERIC,
-    ) -> List[EventHandle]:
-        """Batch-schedule ``(delay, callback)`` pairs in one heap rebuild.
-
-        Equivalent to calling :meth:`schedule` for each pair (sequence numbers
-        are assigned in iteration order, so ties fire in list order) but costs
-        one O(n) ``heapify`` instead of n O(log n) pushes.  Used by
-        :class:`~repro.network.network.Network` to start every node program at
-        once.
-        """
-        now = self._now
-        sequence = self._sequence
-        entries: List[QueueEntry] = []
-        handles: List[EventHandle] = []
-        # Build (and validate) everything locally first so a bad item mid-batch
-        # leaves the simulator untouched.
-        for delay, callback in items:
-            if not (0.0 <= delay < _INF):
-                if not _isfinite(delay):
-                    raise SimulationError(f"delay must be finite, got {delay!r}")
-                raise SimulationError(f"cannot schedule into the past (delay={delay})")
-            time = now + delay
-            event = Event(time, priority, sequence, callback, kind, None)
-            entries.append((time, priority, sequence, event))
-            sequence += 1
-            handles.append(EventHandle(event))
-        self._queue.extend(entries)
-        self._sequence = sequence
-        self._events_scheduled += len(handles)
-        _heapify(self._queue)
-        return handles
 
     def add_listener(self, listener: Callable[[Event], None]) -> None:
         """Register a hook invoked (with the event) just before each event fires.
@@ -512,12 +423,6 @@ class Simulator:
         limit = _INF if max_events is None else max_events
         queue = self._queue
         listeners = self._listeners  # the list object is never rebound
-        free = self._free_events
-        free_append = free.append
-        refcount = _getrefcount
-        pooling = refcount is not None
-        pool_limit = _EVENT_POOL_LIMIT
-        poolable_refs = _POOLABLE_REFS
         # The cell is bound once; in-place mutation keeps mid-run installs
         # visible, exactly like the listener list.
         before = self._before_event
@@ -564,25 +469,9 @@ class Simulator:
                         if not event.cancelled:  # a listener may cancel mid-flight
                             event.fired = True
                             event.callback()
-                        # No cancelled check before pooling: reuse overwrites
-                        # every field (including cancelled), so even a
-                        # listener-cancelled record is safe to park once the
-                        # refcount proves nothing can still observe it.
                     else:
                         event.fired = True
                         event.callback()
-                    # Recycle the fired record iff provably unobservable: the
-                    # exact refcount (entry tuple + `event` local + getrefcount
-                    # argument) proves no handle, listener or callback kept it,
-                    # so reuse cannot change any observable handle state.
-                    # Parked records keep their stale callback/payload refs --
-                    # the pool is small and they are overwritten on reuse.
-                    if (
-                        pooling
-                        and len(free) < pool_limit
-                        and refcount(event) == poolable_refs
-                    ):
-                        free_append(event)
                 else:
                     # Handle-free fast path: no Event, no listeners, one call.
                     entry[3](entry[4])

@@ -13,12 +13,12 @@ heap, so the hot comparison path never enters Python-level ``__lt__`` at all;
 the key on the event exists for API compatibility (events remain directly
 comparable) and for code that sorts events outside the engine.
 
-Lifecycle note: :class:`~repro.sim.engine.Simulator` recycles fired events
-through a per-simulator free list, but only records whose exact reference
-count proves that no :class:`EventHandle`, listener or callback kept a
-reference.  Code that holds a handle (or the event itself) therefore always
-observes stable, truthful ``fired``/``cancelled`` state; recycling is
-invisible by construction.  Fire-and-forget work should prefer
+Lifecycle note: every :meth:`~repro.sim.engine.Simulator.schedule` call
+builds a fresh :class:`Event`; only
+:meth:`~repro.sim.engine.Simulator.reschedule` re-arms a record, and only
+one whose event has already fired and whose handle the caller still owns.
+Code that holds a handle therefore always observes stable, truthful
+``fired``/``cancelled`` state.  Fire-and-forget work should prefer
 :meth:`~repro.sim.engine.Simulator.schedule_call`, which bypasses
 :class:`Event` construction entirely.
 """

@@ -11,20 +11,28 @@ is compared bit-for-bit against a JSON snapshot.
 
 Golden provenance
 -----------------
-The goldens were first generated at commit ``19a8dd0`` (PR 2), before the
-election-core refactor.  PR 4 made ``batch_sampling``/``batch_ticks`` the
-library defaults, which *by design* changes the default random stream /
-event accounting, so the scenarios were migrated:
+The goldens were first generated at commit ``19a8dd0``, before the
+election-core refactor.  Two intended stream / event-accounting changes have
+re-pointed them since:
 
-* ``election_scalar_n16`` and ``election_batched_n16`` now pin their
-  historical modes explicitly (``batch_sampling``/``batch_ticks`` off, resp.
-  sampling on / ticks off).  Their goldens are byte-identical to the PR 2
-  recordings -- proof that the old streams themselves are untouched and the
-  flip only changed which stream runs by default.
-* every other scenario follows the library defaults and was re-recorded
-  under them (PR 4); ``election_fast_defaults_n16`` and
-  ``election_drift_n12`` pin the new default behaviour (including the
-  drift-tolerant shared tick driver) explicitly.
+* **Fast defaults.**  Batched ticks (``batch_ticks``) and a block delay
+  sampler became the library defaults.  ``election_scalar_n16`` pinned the
+  historical modes explicitly (per-message delays, per-node ticks) and kept
+  its original bytes; every scenario that follows the defaults was
+  re-recorded, and ``election_fast_defaults_n16`` and ``election_drift_n12``
+  pin the batched-tick behaviour (including the drift-tolerant shared tick
+  driver) explicitly.
+* **One delay stream.**  The block delay sampler (``batch_sampling``,
+  ``batch_block_size``) was deleted: every channel now draws each delay with
+  one ``sample(rng)`` call on its own ``random.Random`` stream, which is the
+  stream ``election_scalar_n16`` has pinned all along.  That golden passed
+  unchanged, as did ``sync_abd_late_messages`` (its round-level fingerprint
+  is identical on both streams) -- proof that the scalar stream itself is
+  untouched.  Every other scenario was re-recorded once on the single
+  stream, and ``election_batched_n16``, whose only subject was the block
+  sampler, was deleted.  :func:`repro.store.code_version` hashes these
+  files, so result stores recorded on the old stream go stale and re-run
+  instead of mixing two streams in one aggregate.
 
 Stream migration (vector core)
 ------------------------------
@@ -286,10 +294,10 @@ def assert_matches_golden(name: str) -> None:
 # Every scenario is a pure function of constants: fixed sizes, seeds and
 # delay models, bounded by max_events/max_time where liveness is not
 # guaranteed (fault injection).  Coverage spans the election core in every
-# configuration the refactor touches (scalar / batched / FIFO / traced /
-# constant schedule / no-purge ablation / fault injection), all four baseline
-# leader elections, all three synchronizers, and reduced E2/E3 experiment
-# sweeps.
+# configuration the refactor touches (per-node / batched ticks / FIFO /
+# traced / constant schedule / no-purge ablation / fault injection), all
+# four baseline leader elections, all three synchronizers, and reduced E2/E3
+# experiment sweeps.
 
 
 def _election_fingerprint(
@@ -317,27 +325,15 @@ def _election_fingerprint(
 
 @scenario("election_scalar_n16")
 def _election_scalar() -> Dict[str, Any]:
-    # Pinned to the pre-fast-default modes: golden unchanged since PR 2.
-    return _election_fingerprint(
-        16, seed=7, a0=0.3, batch_sampling=False, batch_ticks=False
-    )
-
-
-@scenario("election_batched_n16")
-def _election_batched() -> Dict[str, Any]:
-    # Pinned to PR 2's batch-sampling mode (per-node ticks): golden unchanged.
-    return _election_fingerprint(
-        16, seed=11, a0=0.3, batch_sampling=True, batch_ticks=False
-    )
+    # Per-node ticks on the one delay stream: golden unchanged since PR 2.
+    return _election_fingerprint(16, seed=7, a0=0.3, batch_ticks=False)
 
 
 @scenario("election_fast_defaults_n16")
 def _election_fast_defaults() -> Dict[str, Any]:
-    # The library defaults (batch sampling + batched ticks), pinned explicitly
-    # so a future default flip cannot silently re-point this scenario.
-    return _election_fingerprint(
-        16, seed=11, a0=0.3, batch_sampling=True, batch_ticks=True
-    )
+    # The library default (batched ticks), pinned explicitly so a future
+    # default flip cannot silently re-point this scenario.
+    return _election_fingerprint(16, seed=11, a0=0.3, batch_ticks=True)
 
 
 @scenario("election_drift_n12")

@@ -7,13 +7,10 @@ Usage::
     python tests/harness/record_goldens.py NAME ...   # record a subset
 
 Provenance: the goldens were first generated on the pre-refactor election
-core (commit 19a8dd0, PR 2).  PR 4 flipped ``batch_sampling``/``batch_ticks``
-to default-on -- an *intended* stream/accounting change -- and re-recorded
-every scenario that follows the library defaults; the two mode-pinned
-scenarios (``election_scalar_n16``, ``election_batched_n16``) kept their
-PR 2 bytes, proving the historical streams themselves are untouched.
-Re-record only when a behaviour change is intended, and explain the diff in
-the commit message.  ``tests/test_differential_election.py`` asserts every
+core (commit 19a8dd0); the migrations since then -- each an *intended*
+stream/accounting change -- are listed in the "Golden provenance" section of
+``harness/differential.py``.  Re-record only when a behaviour change is
+intended, and explain the diff in the commit message.  ``tests/test_differential_election.py`` asserts every
 scenario against these files on each run.
 """
 

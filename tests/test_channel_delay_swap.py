@@ -1,16 +1,12 @@
 """Regression tests: swapping a channel's delay model mid-run is stale-free.
 
-Satellite audit of ``Channel.set_delay_model``: a block sampler prefetches
-delays ahead of use, so the dangerous failure mode of a mid-run delay-model
-swap is *serving a draw sampled from the previous distribution*.  On a FIFO +
-batch-sampling channel that bug would be doubly invisible -- the FIFO clamp
-already reorders delivery times, masking a stale delay.  These tests pin the
+Audit of ``Channel.set_delay_model``.  The dangerous failure mode of a
+mid-run delay-model swap is *serving a delay drawn from the previous
+distribution*; on a FIFO channel that bug would be doubly invisible, because
+the FIFO clamp already reorders delivery times.  These tests pin the
 contract:
 
-* after a swap, every served delay comes from the new distribution (no stale
-  prefetched draws, however many were left in the block);
-* a batch-configured channel stays batch-configured (fresh sampler, same
-  block size) instead of silently degrading to per-message sampling;
+* after a swap, every delay comes from the new distribution;
 * the FIFO no-overtaking clamp survives the swap (delivery order is
   per-channel history, not per-model state);
 * the whole procedure is deterministic per seed.
@@ -35,14 +31,13 @@ class _Sink(NodeProgram):
         self._received.append((self.now, payload))
 
 
-def _pair_network(seed: int = 3, fifo: bool = True, batch_sampling: bool = True):
+def _pair_network(seed: int = 3, fifo: bool = True):
     received: List[Any] = []
     config = NetworkConfig(
         topology=Topology(n=2, edges=[(0, 1)], name="pair"),
         delay_model=ExponentialDelay(mean=1.0),
         seed=seed,
         fifo=fifo,
-        batch_sampling=batch_sampling,
         enable_trace=False,
     )
     network = Network(config, lambda uid: _Sink(received))
@@ -50,10 +45,8 @@ def _pair_network(seed: int = 3, fifo: bool = True, batch_sampling: bool = True)
 
 
 class TestMidRunDelayModelSwap:
-    def test_no_stale_draws_after_swap_on_fifo_batch_channel(self):
+    def test_no_stale_draws_after_swap_on_fifo_channel(self):
         network, channel, received = _pair_network()
-        # Burn a few draws so the prefetched block is partially consumed and
-        # provably has exponential draws left.
         pre_swap = [channel.transmit(f"pre-{i}").delay for i in range(4)]
         assert any(delay != 2.5 for delay in pre_swap)
 
@@ -70,32 +63,9 @@ class TestMidRunDelayModelSwap:
 
         network.simulator.schedule(2.0, send_after_swap)
         network.run()
-        # Every single delay served after the swap is the new constant: no
-        # leftover exponential draw from the old block escapes.
+        # Every single delay drawn after the swap is the new constant.
         assert post_swap_delays == [2.5] * 8
         assert len(received) == 12
-
-    def test_batch_configured_channel_keeps_a_fresh_sampler(self):
-        _, channel, _ = _pair_network()
-        original = channel.delay_sampler
-        assert original is not None
-        channel.set_delay_model(ConstantDelay(2.5))
-        rebuilt = channel.delay_sampler
-        assert rebuilt is not None
-        assert rebuilt is not original
-        assert rebuilt.distribution is channel.delay_model
-        assert rebuilt.block_size == original.block_size
-
-    def test_swap_to_same_distribution_object_keeps_prefetched_draws(self):
-        """Re-assigning the *same* distribution is a no-op: its prefetched
-        draws are still valid, so the sampler (and its block) survive."""
-        _, channel, _ = _pair_network()
-        sampler = channel.delay_sampler
-        channel.transmit("warm-up")  # force a refill
-        block_state = (sampler._index, sampler._size)
-        channel.set_delay_model(channel.delay_model)
-        assert channel.delay_sampler is sampler
-        assert (sampler._index, sampler._size) == block_state
 
     def test_fifo_clamp_survives_the_swap(self):
         """Messages sent after a swap to a much faster model must still not
@@ -134,10 +104,24 @@ class TestMidRunDelayModelSwap:
 
         assert run_once() == run_once()
 
-    def test_scalar_channel_swap_has_no_sampler_to_go_stale(self):
-        network, channel, received = _pair_network(batch_sampling=False)
-        assert channel.delay_sampler is None
+    def test_swap_on_a_non_fifo_channel_applies_to_the_next_send(self):
+        network, channel, received = _pair_network(fifo=False)
+        channel.transmit("before")
         channel.set_delay_model(ConstantDelay(1.5))
-        assert channel.delay_sampler is None
-        envelope = channel.transmit("x")
+        envelope = channel.transmit("after")
         assert envelope.delay == 1.5
+        assert envelope.deliver_time == envelope.send_time + 1.5
+        network.run()
+        assert [payload for _, payload in received].count("after") == 1
+
+    def test_swap_keeps_the_channel_stream_position(self):
+        """The channel keeps its rng across a swap: re-assigning the same
+        distribution object leaves the delays exactly as if no swap happened,
+        and the draws already made are not replayed."""
+        _, swapped, _ = _pair_network(seed=5)
+        _, untouched, _ = _pair_network(seed=5)
+        before = [swapped.transmit(i).delay for i in range(4)]
+        swapped.set_delay_model(swapped.delay_model)
+        after = [swapped.transmit(i).delay for i in range(4, 10)]
+        assert before + after == [untouched.transmit(i).delay for i in range(10)]
+        assert after[:4] != before

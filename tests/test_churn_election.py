@@ -111,7 +111,12 @@ class TestLeaderCrashRecover:
         assert result.crashes == 0
         assert result.re_elections == 0
         assert result.leader_downtime == 0.0
-        assert result.final_epoch == 0
+        # A liveness timer may expire before the first crowning (about one
+        # fault-free run in six at n = 8, docs/ROBUSTNESS.md); only such a
+        # timeout can open an epoch, so epoch 0 holds exactly when none did.
+        assert result.final_epoch <= result.suspicions
+        if result.suspicions == 0:
+            assert result.final_epoch == 0
 
 
 class TestOtherDisruptions:

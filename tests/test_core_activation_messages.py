@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -84,6 +85,14 @@ class TestHopMessage:
 
     def test_distinct_messages_get_distinct_tokens(self):
         assert HopMessage(hop=1).token_id != HopMessage(hop=1).token_id
+
+    def test_messages_are_immutable(self):
+        # A tracer, test or retransmission wrapper may hold a delivered
+        # message indefinitely; nothing may change it under them.
+        message = HopMessage(hop=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            message.hop = 3
+        assert hash(message) == hash(HopMessage(hop=2, token_id=message.token_id))
 
     def test_repr_shows_hop_and_knockout(self):
         message = HopMessage(hop=3).forwarded(4, knocked_out_idle=True)

@@ -6,9 +6,10 @@ scheduling, identity clock fast path) changed no observable behaviour:
 
 1. **Goldens** -- every scenario of the differential harness
    (``tests/harness/differential.py``) is asserted bit-identical to the
-   fingerprint recorded on the pre-refactor code (commit 19a8dd0): all four
-   baseline leader elections, all three synchronizers, the ABE election in
-   scalar / batched / FIFO / traced / constant-schedule / no-purge / fault
+   fingerprint recorded on the pre-refactor code (commit 19a8dd0, re-recorded
+   by the migrations listed in the harness): all four baseline leader
+   elections, all three synchronizers, the ABE election in per-node /
+   batched-tick / FIFO / traced / constant-schedule / no-purge / fault
    configurations, and reduced E2/E3 experiment runs.
 2. **Live vs legacy differential** -- full election runs on the live core and
    on the faithful pre-refactor replica
@@ -47,6 +48,7 @@ from repro.core.runner import (  # noqa: E402
     run_election,
     run_election_on_network,
 )
+from repro.network.delays import HyperExponentialDelay, UniformDelay  # noqa: E402
 from repro.sim.engine import SimulationError, Simulator  # noqa: E402
 from repro.sim.monitor import MetricsCollector  # noqa: E402
 from repro.sim.process import SharedTickProcess  # noqa: E402
@@ -63,19 +65,23 @@ class TestGoldens:
 class TestLiveVsLegacyDifferential:
     """The live core vs the faithful pre-refactor replica, full fingerprints.
 
-    The legacy replica predates the fast defaults, so the live side pins
-    ``batch_sampling``/``batch_ticks`` to the replica's modes -- this suite
-    proves the *historical* streams are preserved; the re-recorded goldens
-    cover the new default streams.
+    The legacy replica predates batched ticks, so the live side pins
+    ``batch_ticks=False`` -- this suite proves the *historical* per-node
+    event stream is preserved; the goldens cover the batched-tick default.
     """
 
     CONFIGS = [
         ("scalar", dict(n=16, seed=7)),
         ("fifo", dict(n=12, seed=5, fifo=True)),
-        ("batch_sampling", dict(n=10, seed=3, batch_sampling=True)),
         ("no_purge", dict(n=8, seed=2, purge_at_active=False)),
         ("low_a0", dict(n=10, seed=4, a0=0.1)),
         ("traced", dict(n=6, seed=8, enable_trace=True)),
+        # Non-default delay models: the one-``sample``-call-per-message
+        # stream matches the replica for models other than the exponential.
+        ("uniform_delay", dict(n=10, seed=3, delay=UniformDelay(0.5, 1.5))),
+        ("hyperexponential_delay", dict(
+            n=9, seed=6, delay=HyperExponentialDelay([0.7, 0.3], [0.5, 2.0])
+        )),
     ]
 
     @pytest.mark.parametrize("label,config", CONFIGS, ids=[c[0] for c in CONFIGS])
@@ -84,7 +90,6 @@ class TestLiveVsLegacyDifferential:
         n = config.pop("n")
         seed = config.pop("seed")
         include_trace = config.get("enable_trace", False)
-        config.setdefault("batch_sampling", False)
 
         live_network, live_status = build_election_network(
             n, seed=seed, batch_ticks=False, **config
@@ -110,9 +115,7 @@ class TestLiveVsLegacyDifferential:
 
     def test_run_election_equals_legacy_run_election_across_seeds(self):
         for seed in range(10):
-            live = run_election(
-                12, a0=0.3, seed=seed, batch_sampling=False, batch_ticks=False
-            )
+            live = run_election(12, a0=0.3, seed=seed, batch_ticks=False)
             assert live == legacy_run_election(12, a0=0.3, seed=seed)
 
 
@@ -333,8 +336,8 @@ class TestBatchTicksMode:
                 # The whole point: one event per activation round, not per node.
                 assert batched_events < per_node_events
 
-    def test_batch_ticks_composes_with_batch_sampling_and_fifo(self):
-        kwargs = dict(a0=0.3, seed=5, batch_sampling=True, fifo=True)
+    def test_batch_ticks_composes_with_fifo(self):
+        kwargs = dict(a0=0.3, seed=5, fifo=True)
         plain = asdict(run_election(12, batch_ticks=False, **kwargs))
         batched = asdict(run_election(12, batch_ticks=True, **kwargs))
         plain.pop("events_processed")

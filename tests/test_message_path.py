@@ -1,10 +1,10 @@
 """Regression tests for the zero-overhead message path.
 
 Covers the handle-free engine fast path (``schedule_call``/``schedule_call_at``),
-event-record recycling, per-channel envelope pooling, the null tracer, the
-before-event stop-predicate hook, and -- most importantly -- bit-identity of
-full election runs with the values recorded on the pre-refactor code, for both
-the default per-message sampling and the batched/FIFO configurations.
+truthful event handles, fresh per-message envelopes, the null tracer, the
+before-event stop-predicate hook, FIFO ordering, and -- most importantly --
+bit-identity of full election runs with the values recorded on the
+pre-refactor code.
 """
 
 from __future__ import annotations
@@ -132,26 +132,15 @@ class TestScheduleCallFastPath:
         assert received == [0, 1, 2, 3, 4]
 
 
-class TestEventRecycling:
-    def test_fired_events_are_recycled_when_unobserved(self):
-        sim = Simulator()
-        sim.schedule(0.0, lambda: None)  # handle discarded
-        sim.run()
-        assert len(sim._free_events) == 1
-        recycled = sim._free_events[0]
-        sim.schedule(1.0, lambda: None)
-        assert not sim._free_events
-        assert sim._queue[0][3] is recycled
-
-    def test_retained_handles_block_recycling_and_stay_truthful(self):
+class TestEventHandles:
+    def test_retained_handles_stay_truthful(self):
         sim = Simulator()
         handle = sim.schedule(0.0, lambda: None)
         sim.run()
-        assert not sim._free_events  # the live handle blocked the recycle
         assert handle.fired
         assert handle.cancel() is False
 
-    def test_recycled_events_leak_no_state(self):
+    def test_later_events_leak_no_state(self):
         sim = Simulator()
         fired = []
         sim.schedule(0.0, lambda: fired.append("first"), payload={"secret": 1})
@@ -180,7 +169,7 @@ class RelayOnce(NodeProgram):
             self.send(0, {"hops": payload["hops"] + 1})
 
 
-class TestEnvelopePooling:
+class TestEnvelopes:
     def _relay_network(self, enable_trace: bool, messages: int = 40) -> Network:
         budget = {"remaining": messages - 1}
         config = NetworkConfig(
@@ -191,12 +180,7 @@ class TestEnvelopePooling:
         )
         return Network(config, lambda uid: RelayOnce(budget))
 
-    def test_envelopes_recycled_with_tracing_disabled(self):
-        network = self._relay_network(enable_trace=False)
-        network.run()
-        assert any(channel._envelope_pool for channel in network.channels)
-
-    def test_no_state_leaks_across_pooled_messages(self):
+    def test_no_state_leaks_across_messages(self):
         """Every delivered payload is exactly the one sent for that hop."""
         received = []
 
@@ -220,26 +204,15 @@ class TestEnvelopePooling:
         network.run()
         assert received == list(range(31))
 
-    def test_retained_envelope_is_never_recycled(self):
+    def test_retained_envelope_is_never_reused(self):
         # Budget 0: receivers never forward, so the injected payload is inert.
         network = self._relay_network(enable_trace=False, messages=1)
         channel = network.channels[0]
         kept = channel.transmit({"hops": "kept"})
         network.run()
-        # The retained envelope kept its identity and fields...
+        # The retained envelope kept its identity and fields after delivery.
         assert kept.payload == {"hops": "kept"}
-        # ... and was not parked in the pool.
-        assert kept not in channel._envelope_pool
-
-    def test_pooled_envelopes_get_fresh_ids(self):
-        network = self._relay_network(enable_trace=False)
-        network.run()
-        channel = network.channels[0]
-        pooled = channel._envelope_pool[0]
-        old_id = pooled.envelope_id
-        envelope = channel.transmit("again")
-        assert envelope is pooled
-        assert envelope.envelope_id != old_id
+        assert channel.transmit("again") is not kept
 
 
 class TestNullTracer:
@@ -299,11 +272,11 @@ class TestNullTracer:
             network.metrics.increment("messages_sent")
 
 
-class TestFifoBatchSamplingInteraction:
-    """Satellite regression: FIFO ordering and determinism hold under
-    ``batch_sampling`` (the block sampler must not bypass the FIFO clamp)."""
+class TestFifoClamp:
+    """FIFO ordering and determinism hold for bursts of widely spread delays
+    (the sampled delays must never bypass the FIFO clamp)."""
 
-    def _burst_network(self, seed: int, batch_sampling: bool):
+    def _burst_network(self, seed: int):
         topology = Topology(n=2, edges=[(0, 1)], name="pair")
         received = []
 
@@ -321,29 +294,28 @@ class TestFifoBatchSamplingInteraction:
             delay_model=UniformDelay(0.0, 10.0),
             seed=seed,
             fifo=True,
-            batch_sampling=batch_sampling,
             enable_trace=False,
         )
         return Network(config, lambda uid: Burst()), received
 
-    def test_fifo_order_preserved_for_every_seed_with_batch_sampling(self):
+    def test_fifo_order_preserved_for_every_seed(self):
         for seed in range(20):
-            network, received = self._burst_network(seed, batch_sampling=True)
+            network, received = self._burst_network(seed)
             network.run()
             assert received == [f"msg-{i}" for i in range(6)], f"seed {seed}"
 
-    def test_batched_fifo_is_deterministic_per_seed(self):
-        first_network, first = self._burst_network(3, batch_sampling=True)
+    def test_fifo_is_deterministic_per_seed(self):
+        first_network, first = self._burst_network(3)
         first_network.run()
         first_times = [c.total_delay for c in first_network.channels]
-        second_network, second = self._burst_network(3, batch_sampling=True)
+        second_network, second = self._burst_network(3)
         second_network.run()
         assert first == second
         assert first_times == [c.total_delay for c in second_network.channels]
 
-    def test_batched_fifo_election_deterministic(self):
-        a = run_election(8, a0=0.3, seed=11, batch_sampling=True, fifo=True)
-        b = run_election(8, a0=0.3, seed=11, batch_sampling=True, fifo=True)
+    def test_fifo_election_deterministic(self):
+        a = run_election(8, a0=0.3, seed=11, fifo=True)
+        b = run_election(8, a0=0.3, seed=11, fifo=True)
         assert a == b
         assert a.elected
 
@@ -352,32 +324,23 @@ class TestElectionBitIdentity:
     """Golden values recorded on the pre-refactor code (PR 1, commit aa4bb66):
     the zero-overhead message path must not change a single simulation.
 
-    Recorded before batch sampling / batch ticks became the defaults, so the
-    historical modes are pinned explicitly: these tests prove the *scalar*
-    and *batch-sampling* streams themselves are untouched by later work (the
-    fast-default flip only changed which stream runs when you don't ask).
+    Recorded before batched ticks became the default, so the per-node tick
+    mode is pinned explicitly where the event count is asserted: these tests
+    prove the one delay stream (one ``sample`` call per message) is
+    untouched by later work.
     """
 
     def test_scalar_election_golden(self):
-        result = run_election(8, a0=0.3, seed=7, batch_sampling=False, batch_ticks=False)
+        result = run_election(8, a0=0.3, seed=7, batch_ticks=False)
         assert result.messages_total == 48
         assert result.election_time == 36.986563522772045
         assert result.leader_uid == 6
         assert result.events_processed == 142
 
-    def test_batched_election_golden(self):
-        result = run_election(8, a0=0.3, seed=11, batch_sampling=True, batch_ticks=False)
-        assert result.messages_total == 88
-        assert result.election_time == 55.28853078812167
-        assert result.leader_uid == 2
-        assert result.events_processed == 221
-
     def test_election_trials_golden(self):
         from repro.experiments.workloads import election_trials
 
-        trials = election_trials(
-            8, trials=5, base_seed=13, batch_sampling=False, batch_ticks=False
-        )
+        trials = election_trials(8, trials=5, base_seed=13, batch_ticks=False)
         observed = [
             [t.messages_total, t.election_time, t.leader_uid, t.events_processed]
             for t in trials
@@ -407,8 +370,6 @@ class TestElectionBitIdentity:
     def test_stop_predicate_timing_unchanged(self):
         """The before-event hook must stop the run at exactly the same event
         the old listener-based predicate did (messages_total depends on it)."""
-        network, status = build_election_network(
-            8, a0=0.3, seed=7, batch_sampling=False, batch_ticks=False
-        )
+        network, status = build_election_network(8, a0=0.3, seed=7, batch_ticks=False)
         result = run_election_on_network(network, status, a0=0.3)
         assert result.messages_total == network.messages_sent() == 48

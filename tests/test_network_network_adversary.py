@@ -68,6 +68,21 @@ class TestNetworkConstruction:
         network.run()
         assert sorted(started) == list(range(6))
 
+    def test_start_schedules_one_event_per_node_in_node_order(self, small_ring_config):
+        started = []
+
+        class StartRecording(NodeProgram):
+            def on_start(self) -> None:
+                started.append(self.node.uid)
+
+        network = Network(small_ring_config, lambda uid: StartRecording())
+        network.start()
+        assert network.simulator.events_scheduled == 6
+        assert network.simulator.pending == 6
+        network.simulator.run()
+        # All start events tie at time 0 and fire in node order.
+        assert started == list(range(6))
+
     def test_run_returns_current_time_and_results(self, small_ring_config):
         network = Network(
             small_ring_config,

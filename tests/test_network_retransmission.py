@@ -123,82 +123,45 @@ class TestLossyChannelModel:
             LossyChannelModel(0.5, max_attempts=0)
 
 
-class TestRetransmissionDuplicationVsMessagePool:
-    """Audit of the HopMessage pool against duplicate deliveries.
+class TestRetransmissionDuplication:
+    """A retransmission layer that duplicates an envelope (the same logical
+    message delivered more than once, e.g. after a lost ACK) holds the
+    envelope and its payload beyond the first delivery.  Nothing in the run
+    may change them under it."""
 
-    A retransmission layer that duplicates an envelope (the same logical
-    message delivered more than once, e.g. an ACK lost after a successful
-    transmission) holds references to the envelope and its payload beyond the
-    first delivery.  The channel's exact refcount guard must therefore never
-    hand such a payload to the :class:`~repro.core.messages.HopMessagePool`
-    -- a pooled message renewed while a duplicate is still in flight would be
-    observed mutated by the second delivery.
-    """
+    def test_duplicated_envelopes_keep_their_payload(self):
+        from repro.core.messages import HopMessage
+        from repro.core.runner import build_election_network, run_election_on_network
 
-    def _build(self, n=8, seed=3):
-        from repro.core.runner import build_election_network
-        from repro.network.delays import ExponentialDelay
-        from repro.network.retransmission import GeometricRetransmissionDelay
-
-        return build_election_network(
-            n,
+        network, status = build_election_network(
+            8,
             a0=0.3,
-            seed=seed,
+            seed=3,
             delay=GeometricRetransmissionDelay(0.5, transmission_time=1.0),
         )
-
-    def test_duplicated_envelopes_keep_their_payload_out_of_the_pool(self):
-        from repro.core.messages import HopMessage
-        from repro.core.runner import run_election_on_network
-
-        network, status = self._build()
         duplicates = []
 
-        # A retransmission-style wrapper on one channel: every transmitted
-        # envelope is also remembered (the "retransmit copy"), exactly like a
-        # sender that may have to resend.  The copy outlives the delivery.
+        # Remember every envelope sent on one channel, exactly like a sender
+        # that may have to resend; the copy outlives the delivery.
         channel = network.channels[0]
         original_transmit = channel.transmit
 
         def duplicating_transmit(payload):
             envelope = original_transmit(payload)
-            duplicates.append((envelope, envelope.payload, envelope.payload.hop,
-                               envelope.payload.token_id, envelope.payload.knockout))
+            duplicates.append(
+                (envelope, envelope.payload, envelope.payload.hop,
+                 envelope.payload.token_id, envelope.payload.knockout)
+            )
             return envelope
 
         channel.transmit = duplicating_transmit
         result = run_election_on_network(network, status)
         assert result.elected
 
-        # Every remembered payload must be exactly as it was at hand-off:
-        # the refcount guard saw the duplicate's references and refused to
-        # renew the message, even though thousands of other messages were
-        # pooled and recycled meanwhile.
         assert duplicates, "the wrapped channel never transmitted"
         for envelope, payload, hop, token_id, knockout in duplicates:
             assert isinstance(payload, HopMessage)
-            assert payload.hop == hop
-            assert payload.token_id == token_id
-            assert payload.knockout == knockout
-            assert envelope.payload is payload or envelope.payload is None
-
-    def test_double_release_is_rejected(self):
-        from repro.core.messages import HopMessagePool
-
-        pool = HopMessagePool()
-        message = pool.acquire(2)
-        pool.release(message)
-        with pytest.raises(RuntimeError, match="released twice"):
-            pool.release(message)
-
-    def test_pool_recycles_on_the_plain_election_path(self):
-        """Sanity check that the guard is not so strict it never recycles:
-        an untraced election with no duplication reuses message records."""
-        from repro.core.runner import build_election_network, run_election_on_network
-
-        network, status = build_election_network(8, a0=0.3, seed=1)
-        pools = {id(node.program.hop_pool) for node in network.nodes}
-        assert len(pools) == 1  # one shared pool per run
-        pool = network.nodes[0].program.hop_pool
-        run_election_on_network(network, status)
-        assert len(pool) > 0, "no message was ever recycled"
+            assert envelope.payload is payload
+            assert (payload.hop, payload.token_id, payload.knockout) == (
+                hop, token_id, knockout
+            )

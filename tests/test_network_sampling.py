@@ -1,4 +1,10 @@
-"""Tests for block-wise delay sampling (the channel hot-path fast path)."""
+"""Tests for delay sampling on both election cores.
+
+The columnar election core draws its delays through
+``DelayDistribution.sample_array``; the object core's channels draw one
+delay per message through ``sample`` on the channel's own named stream.
+Both streams are pure functions of the seed.
+"""
 
 from __future__ import annotations
 
@@ -22,11 +28,12 @@ from repro.network.delays import (
     WeibullDelay,
 )
 from repro.network.network import Network, NetworkConfig
+from repro.network.node import NodeProgram
 from repro.network.queueing import MM1SojournDelay
 from repro.network.retransmission import GeometricRetransmissionDelay
 from repro.network.routing import DynamicRoutingDelay
-from repro.network.sampling import BlockDelaySampler
 from repro.network.topology import unidirectional_ring
+from repro.sim.rng import RandomSource
 
 VECTORIZED_DISTRIBUTIONS = [
     ConstantDelay(1.5),
@@ -57,20 +64,7 @@ class _ScalarOnlyDelay(DelayDistribution):
         return 0.5
 
 
-class TestSampleBlock:
-    @pytest.mark.parametrize("dist", VECTORIZED_DISTRIBUTIONS, ids=repr)
-    def test_sample_block_matches_repeated_sample(self, dist):
-        """The scalar block API must be bit-identical to per-message sampling."""
-        block = dist.sample_block(random.Random(42), 64)
-        scalar = [dist.sample(random.Random(42)) for _ in range(1)]  # first value
-        assert block[0] == scalar[0]
-        rng = random.Random(42)
-        assert block == [dist.sample(rng) for _ in range(64)]
-
-    def test_sample_block_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            ExponentialDelay().sample_block(random.Random(0), -1)
-
+class TestSampleArray:
     @pytest.mark.parametrize("dist", VECTORIZED_DISTRIBUTIONS, ids=repr)
     def test_sample_array_statistics(self, dist):
         import numpy as np
@@ -80,6 +74,43 @@ class TestSampleBlock:
         assert len(values) == 20_000
         assert float(values.min()) >= 0.0
         assert float(values.mean()) == pytest.approx(dist.mean(), rel=0.15)
+
+    @pytest.mark.parametrize("dist", VECTORIZED_DISTRIBUTIONS, ids=repr)
+    def test_sample_array_is_a_pure_function_of_the_seed(self, dist):
+        """The vector core's determinism rests on this: two generators in
+        equal states draw bit-identical arrays, for every distribution."""
+        import numpy as np
+
+        assert dist.supports_vectorized()
+        first = dist.sample_array(np.random.default_rng(13), 40)
+        second = dist.sample_array(np.random.default_rng(13), 40)
+        assert first.tolist() == second.tolist()
+        assert float(first.min()) >= 0.0
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            # Single-pass draws: how the caller chunks its requests is
+            # invisible.  The composite distributions (mixture, truncation,
+            # routing) draw in several passes and are documented as
+            # chunking-sensitive, so they are deliberately absent here.
+            ConstantDelay(1.5),
+            UniformDelay(0.5, 2.5),
+            ExponentialDelay(mean=1.2),
+            HyperExponentialDelay([0.7, 0.3], [0.5, 2.0]),
+            EmpiricalDelay([0.2, 0.7, 1.3, 2.9]),
+            MM1SojournDelay(arrival_rate=1.0, service_rate=2.0),
+            GeometricRetransmissionDelay(0.4, transmission_time=0.5),
+        ],
+        ids=repr,
+    )
+    def test_request_chunking_invisible_for_single_pass_distributions(self, dist):
+        import numpy as np
+
+        whole = dist.sample_array(np.random.default_rng(13), 40)
+        gen = np.random.default_rng(13)
+        chunked = np.concatenate([dist.sample_array(gen, 5) for _ in range(8)])
+        assert whole.tolist() == chunked.tolist()
 
     def test_unsupported_distribution_has_no_vectorized_sampler(self):
         dist = _ScalarOnlyDelay()
@@ -118,132 +149,60 @@ class TestSampleBlock:
         assert np.allclose(values, 1.5)
 
 
-class TestBlockDelaySampler:
-    def test_exact_mode_is_bit_identical_to_scalar_sampling(self):
-        dist = ExponentialDelay(mean=1.0)
-        sampler = BlockDelaySampler(dist, random.Random(9), block_size=16, vectorized=False)
-        reference_rng = random.Random(9)
-        drawn = [sampler.next() for _ in range(50)]
-        # The sampler consumed the stream block-wise, but the *values* are the
-        # same sequence scalar sampling would produce.
-        assert drawn == [dist.sample(reference_rng) for _ in range(50)]
+class _Quiet(NodeProgram):
+    def on_start(self):
+        pass
 
-    def test_vectorized_mode_is_deterministic(self):
-        dist = ExponentialDelay(mean=1.0)
-        first = BlockDelaySampler(dist, random.Random(5), block_size=8)
-        second = BlockDelaySampler(dist, random.Random(5), block_size=8)
-        assert [first.next() for _ in range(30)] == [second.next() for _ in range(30)]
-        assert first.vectorized
+    def on_message(self, payload, port):
+        pass
 
-    def test_vectorized_falls_back_for_unsupported_distributions(self):
-        dist = _ScalarOnlyDelay()
-        sampler = BlockDelaySampler(dist, random.Random(5), block_size=8)
-        assert not sampler.vectorized
-        assert all(0.0 <= sampler.next() < 1.0 for _ in range(20))
 
-    def test_block_size_independence_in_vectorized_mode(self):
-        """Values depend only on the seed stream, not on the block size."""
-        dist = UniformDelay(0.0, 1.0)
-        small = BlockDelaySampler(dist, random.Random(3), block_size=4)
-        large = BlockDelaySampler(dist, random.Random(3), block_size=64)
-        assert [small.next() for _ in range(20)] == [large.next() for _ in range(20)]
+def _quiet_ring(dist: DelayDistribution, seed: int = 4) -> Network:
+    config = NetworkConfig(
+        topology=unidirectional_ring(4),
+        delay_model=dist,
+        seed=seed,
+        enable_trace=False,
+    )
+    return Network(config, lambda uid: _Quiet())
+
+
+class TestChannelDelayStream:
+    """The object core's one delay stream: every message's delay is one
+    ``sample(rng)`` call on its channel's ``channel/<id>`` stream."""
 
     @pytest.mark.parametrize("dist", VECTORIZED_DISTRIBUTIONS, ids=repr)
-    def test_stream_identity_every_vectorized_distribution(self, dist):
-        """Stream identity of the vectorized path, per distribution: the
-        served stream is a pure function of the seed stream -- two samplers
-        over equal rng states produce bit-identical streams."""
-        assert dist.supports_vectorized()
-        reference = BlockDelaySampler(dist, random.Random(13), block_size=64)
-        twin = BlockDelaySampler(dist, random.Random(13), block_size=64)
-        expected = [reference.next() for _ in range(40)]
-        assert expected == [twin.next() for _ in range(40)]
-        assert all(value >= 0.0 for value in expected)
+    def test_scalar_sample_statistics(self, dist):
+        rng = random.Random(7)
+        values = [dist.sample(rng) for _ in range(20_000)]
+        assert min(values) >= 0.0
+        assert sum(values) / len(values) == pytest.approx(dist.mean(), rel=0.15)
 
-    @pytest.mark.parametrize(
-        "dist",
-        [
-            # Single-pass refills: the block schedule is invisible.  The
-            # composite distributions (mixture, truncation, routing) refill
-            # in several passes and are documented as block-schedule
-            # sensitive, so they are deliberately absent here.
-            ConstantDelay(1.5),
-            UniformDelay(0.5, 2.5),
-            ExponentialDelay(mean=1.2),
-            HyperExponentialDelay([0.7, 0.3], [0.5, 2.0]),
-            EmpiricalDelay([0.2, 0.7, 1.3, 2.9]),
-            MM1SojournDelay(arrival_rate=1.0, service_rate=2.0),
-            GeometricRetransmissionDelay(0.4, transmission_time=0.5),
-        ],
-        ids=repr,
-    )
-    def test_block_size_invisible_for_single_pass_distributions(self, dist):
-        small = BlockDelaySampler(dist, random.Random(13), block_size=5)
-        large = BlockDelaySampler(dist, random.Random(13), block_size=64)
-        assert [small.next() for _ in range(40)] == [large.next() for _ in range(40)]
+    @pytest.mark.parametrize("dist", VECTORIZED_DISTRIBUTIONS, ids=repr)
+    def test_channel_delays_match_repeated_sample(self, dist):
+        channel = _quiet_ring(dist).channels[0]
+        envelopes = [channel.transmit(index) for index in range(64)]
+        reference = RandomSource(4).stream("channel/0")
+        assert [e.delay for e in envelopes] == [dist.sample(reference) for _ in range(64)]
+        # Non-FIFO channels deliver exactly the drawn delay after the send.
+        assert all(e.deliver_time == e.send_time + e.delay for e in envelopes)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BlockDelaySampler(ExponentialDelay(), random.Random(0), block_size=0)
-        with pytest.raises(TypeError):
-            BlockDelaySampler(object(), random.Random(0))
+    def test_channels_draw_from_independent_streams(self):
+        """How much one channel draws never shifts another channel's stream."""
+        dist = ExponentialDelay(mean=1.0)
+        network = _quiet_ring(dist)
+        for index in range(10):
+            network.channels[0].transmit(index)
+        drawn = [network.channels[1].transmit(index).delay for index in range(8)]
+        reference = RandomSource(4).stream("channel/1")
+        assert drawn == [dist.sample(reference) for _ in range(8)]
 
-
-class TestNetworkBatchSampling:
-    def _echo_network(self, batch_sampling: bool, seed: int = 4) -> Network:
-        from repro.network.node import NodeProgram
-
-        class Quiet(NodeProgram):
-            def on_start(self):
-                pass
-
-            def on_message(self, payload, port):
-                pass
-
-        config = NetworkConfig(
-            topology=unidirectional_ring(4),
-            delay_model=ExponentialDelay(mean=1.0),
-            seed=seed,
-            batch_sampling=batch_sampling,
-        )
-        return Network(config, program_factory=lambda uid: Quiet())
-
-    def test_batch_sampling_builds_samplers(self):
-        network = self._echo_network(batch_sampling=True)
-        assert all(channel.delay_sampler is not None for channel in network.channels)
-        assert all(channel.delay_sampler.vectorized for channel in network.channels)
-
-    def test_default_has_no_samplers(self):
-        network = self._echo_network(batch_sampling=False)
-        assert all(channel.delay_sampler is None for channel in network.channels)
-
-    def test_reassigning_delay_model_drops_stale_sampler(self):
-        """A sampler prefetched for the old distribution must not survive a
-        delay-model swap (the new model would be silently ignored).  The
-        batch-configured channel gets a *fresh* sampler for the new model
-        instead of silently degrading to per-message sampling."""
-        network = self._echo_network(batch_sampling=True)
-        channel = network.channels[0]
-        stale = channel.delay_sampler
-        assert stale is not None  # construction keeps it
-        channel.delay_model = ConstantDelay(2.0)
-        rebuilt = channel.delay_sampler
-        assert rebuilt is not None and rebuilt is not stale
-        assert rebuilt.distribution is channel.delay_model
-        assert rebuilt.block_size == stale.block_size
-        # Every draw served after the swap comes from the new distribution.
-        assert all(rebuilt.next() == 2.0 for _ in range(5))
-
-    def test_batched_election_is_deterministic_per_seed(self):
+    @pytest.mark.parametrize("dist", VECTORIZED_DISTRIBUTIONS, ids=repr)
+    def test_election_is_deterministic_per_seed_for_every_distribution(self, dist):
         from repro.core.runner import run_election
 
-        first = run_election(8, a0=0.3, seed=11, batch_sampling=True)
-        second = run_election(8, a0=0.3, seed=11, batch_sampling=True)
-        assert first == second
+        first = run_election(8, a0=0.3, delay=dist, seed=11)
+        assert first == run_election(8, a0=0.3, delay=dist, seed=11)
         assert first.elected
-
-    def test_batched_election_still_elects_across_seeds(self):
-        from repro.core.runner import run_election
-
-        for seed in range(3):
-            assert run_election(8, a0=0.3, seed=seed, batch_sampling=True).elected
+        assert first.leaders_elected == 1
+        assert first.knockout_messages == 8 - 1

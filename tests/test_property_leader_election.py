@@ -8,10 +8,8 @@ leader election:
   and exactly one program reports itself elected);
 * **agreement** -- the shared outcome record names that same node.
 
-Each combination runs with and without ``batch_sampling`` (different
-deterministic random streams, same correctness contract).  ``derandomize``
-keeps CI stable: the examples are a fixed, seed-independent sweep rather
-than a fresh random batch per run.
+``derandomize`` keeps CI stable: the examples are a fixed, seed-independent
+sweep rather than a fresh random batch per run.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ seeds = st.integers(min_value=0, max_value=2**20)
 delays = st.sampled_from(
     [ExponentialDelay(mean=1.0), UniformDelay(0.1, 2.0), ConstantDelay(1.0)]
 )
-batch_sampling = st.booleans()
 
 #: (factory, needs bidirectional ring, needs FIFO, nodes have identifiers)
 BASELINES = {
@@ -74,9 +71,9 @@ def _assert_unique_leader_with_agreement(network, decided, leader_uid, leaders_e
 
 
 @pytest.mark.parametrize("algorithm", sorted(BASELINES))
-@given(n=ring_sizes, seed=seeds, delay=delays, batched=batch_sampling)
+@given(n=ring_sizes, seed=seeds, delay=delays)
 @SETTINGS
-def test_baseline_elects_exactly_one_leader(algorithm, n, seed, delay, batched):
+def test_baseline_elects_exactly_one_leader(algorithm, n, seed, delay):
     factory, bidirectional, fifo, with_ids = BASELINES[algorithm]
     network, tally = build_ring_election(
         factory,
@@ -86,7 +83,6 @@ def test_baseline_elects_exactly_one_leader(algorithm, n, seed, delay, batched):
         with_identifiers=with_ids,
         delay=delay,
         seed=seed,
-        batch_sampling=batched,
     )
     network.run(max_events=500_000 + 50_000 * n)
     _assert_unique_leader_with_agreement(
@@ -100,13 +96,10 @@ def test_baseline_elects_exactly_one_leader(algorithm, n, seed, delay, batched):
     seed=seeds,
     a0=st.sampled_from([0.1, 0.3, 0.7]),
     delay=delays,
-    batched=batch_sampling,
 )
 @SETTINGS
-def test_abe_election_elects_exactly_one_leader(n, seed, a0, delay, batched):
-    network, status = build_election_network(
-        n, a0=a0, seed=seed, delay=delay, batch_sampling=batched
-    )
+def test_abe_election_elects_exactly_one_leader(n, seed, a0, delay):
+    network, status = build_election_network(n, a0=a0, seed=seed, delay=delay)
     result = run_election_on_network(network, status, a0=a0)
     _assert_unique_leader_with_agreement(
         network, result.elected, result.leader_uid, result.leaders_elected

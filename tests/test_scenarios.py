@@ -72,6 +72,11 @@ class TestSpecValidation:
     def test_unknown_field_rejected_by_name(self):
         with pytest.raises(ValueError, match="topologyy"):
             ScenarioSpec.from_dict({"topologyy": {"kind": "uniring"}})
+        # A retired knob is an unknown field too: specs that still ask for
+        # block-sampled delays fail loudly instead of silently running the
+        # one remaining delay stream.
+        with pytest.raises(ValueError, match="batch_sampling"):
+            ScenarioSpec.from_dict({"batch_sampling": False})
 
     def test_node_shorthand_string(self):
         spec = ScenarioSpec(delay="exponential")

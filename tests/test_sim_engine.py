@@ -67,6 +67,34 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             simulator.schedule_at(1.0, lambda: None)
 
+    def test_rejected_schedule_leaves_simulator_untouched(self, simulator):
+        fired = []
+        with pytest.raises(SimulationError):
+            simulator.schedule(float("nan"), lambda: fired.append("x"))
+        with pytest.raises(SimulationError):
+            simulator.schedule(-1.0, lambda: fired.append("x"))
+        assert simulator.pending == 0
+        assert simulator.events_scheduled == 0
+        # The sequence counter was not burned: later ties keep call order.
+        a = simulator.schedule(1.0, lambda: fired.append("a"))
+        b = simulator.schedule(1.0, lambda: fired.append("b"))
+        simulator.run()
+        assert fired == ["a", "b"]
+        assert a.time == b.time
+
+    def test_schedule_and_schedule_at_share_one_order(self, simulator):
+        """Relative and absolute scheduling draw from one sequence counter,
+        so equal-time entries fire in call order whichever spelling made
+        them, and both count as scheduled."""
+        fired = []
+        simulator.schedule(1.0, lambda: fired.append("relative-1"))
+        simulator.schedule_at(1.0, lambda: fired.append("absolute-1"))
+        simulator.schedule(1.0, lambda: fired.append("relative-2"))
+        simulator.schedule_at(0.5, lambda: fired.append("early"))
+        assert simulator.events_scheduled == 4
+        simulator.run()
+        assert fired == ["early", "relative-1", "absolute-1", "relative-2"]
+
     def test_events_scheduled_during_run_are_executed(self, simulator):
         fired = []
 
@@ -234,57 +262,3 @@ class TestCancellationAndListeners:
             pass
         assert stepper.events_processed == simulator.events_processed == 2
         assert fired == []
-
-
-class TestScheduleMany:
-    def test_ties_fire_in_list_order(self, simulator):
-        fired = []
-        simulator.schedule_many((1.0, lambda l=label: fired.append(l)) for label in "abcde")
-        simulator.run()
-        assert fired == list("abcde")
-
-    def test_interleaves_correctly_with_schedule(self, simulator):
-        fired = []
-        simulator.schedule(2.0, lambda: fired.append("late"))
-        simulator.schedule_many([(1.0, lambda: fired.append("batch"))])
-        simulator.schedule(0.5, lambda: fired.append("early"))
-        simulator.run()
-        assert fired == ["early", "batch", "late"]
-
-    def test_returns_cancelable_handles(self, simulator):
-        fired = []
-        handles = simulator.schedule_many(
-            [(1.0, lambda: fired.append(1)), (2.0, lambda: fired.append(2))]
-        )
-        assert len(handles) == 2
-        handles[0].cancel()
-        simulator.run()
-        assert fired == [2]
-
-    def test_counts_as_scheduled(self, simulator):
-        simulator.schedule_many([(0.0, lambda: None)] * 4)
-        assert simulator.events_scheduled == 4
-        assert simulator.pending == 4
-
-    def test_invalid_delays_rejected(self, simulator):
-        with pytest.raises(SimulationError):
-            simulator.schedule_many([(-1.0, lambda: None)])
-        with pytest.raises(SimulationError):
-            simulator.schedule_many([(float("nan"), lambda: None)])
-
-    def test_failed_batch_leaves_simulator_untouched(self, simulator):
-        fired = []
-        with pytest.raises(SimulationError):
-            simulator.schedule_many(
-                [(1.0, lambda: fired.append("x")), (float("nan"), lambda: None)]
-            )
-        assert simulator.pending == 0
-        assert simulator.events_scheduled == 0
-        simulator.run()
-        assert fired == []
-        # The sequence counter must not have been burned by the failed batch.
-        a = simulator.schedule(1.0, lambda: fired.append("a"))
-        b = simulator.schedule(1.0, lambda: fired.append("b"))
-        simulator.run()
-        assert fired == ["a", "b"]
-        assert a.time == b.time

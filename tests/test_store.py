@@ -320,6 +320,19 @@ class TestResultStore:
         with ResultStore(path, fresh=True) as fresh:
             assert len(fresh) == 0
 
+    def test_records_a_vector_core_election_won_by_the_last_node(self, tmp_path):
+        """The crowning token of node n-1 starts in the vector core's int64
+        destination column, so its uid must be converted to a Python int:
+        the codec refuses ``numpy.int64``, and ``record_many`` would skip the
+        row silently, re-executing the trial on every warm run."""
+        from repro.core.runner import run_election
+
+        result = run_election(8, seed=7, core="vector")
+        assert result.leader_uid == 7 and type(result.leader_uid) is int
+        with ResultStore(tmp_path / "results.sqlite") as store:
+            assert store.record_many("vector", [(7, result)]) == 1
+            assert store.lookup("vector", [7]) == {7: result}
+
     def test_checkpoint_journal_dispatches_on_suffix(self, tmp_path):
         assert CheckpointJournal(tmp_path / "a.jsonl").kind == "jsonl"
         assert CheckpointJournal(tmp_path / "b.sqlite").kind == "sqlite"
