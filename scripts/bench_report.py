@@ -31,7 +31,7 @@ run:
     compared).
 ``trials``
     Monte-Carlo election trials/sec serially and fanned across worker
-    processes via :class:`repro.experiments.parallel.ParallelTrialRunner`.
+    processes via :class:`repro.experiments.parallel.SweepPool`.
 ``experiments_e2e``
     Wall clock of a reduced E1+E3 experiment-suite run: the old defaults
     (per-node ticks, fixed trial counts) vs the shipped fast default plus
@@ -42,13 +42,11 @@ run:
     size vs reusing one :class:`repro.experiments.parallel.SweepPool`, with
     the bit-identity of the two result sets asserted.
 ``result_store``
-    Per-trial journaling cost of both checkpoint backends
-    (:class:`repro.store.JsonlResultStore` append-only JSONL,
-    :class:`repro.store.ResultStore` sqlite): records/sec, lookups/sec, and
-    the second-half/first-half cost ratio over the record stream -- ~1.0
-    means each append is O(1) in journal length (the pre-store journal
-    rewrote the whole file per record, so this ratio grew with N and total
-    bytes were O(N^2)).
+    Per-trial journaling cost of the sqlite :class:`repro.store.ResultStore`:
+    records/sec, lookups/sec, and the second-half/first-half cost ratio over
+    the record stream -- ~1.0 means each append is O(1) in store size (the
+    pre-store journal rewrote the whole file per record, so this ratio grew
+    with N and total bytes were O(N^2)).
 
 Every section also reports ``peak_mem_mb``: the tracemalloc peak of one
 representative workload run.  Tracing slows Python severely, so memory is
@@ -78,10 +76,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from legacy_engine import LegacySimulator  # noqa: E402
 
-from repro.core.runner import run_election  # noqa: E402
-from repro.experiments.parallel import ParallelTrialRunner, SweepPool  # noqa: E402
+from repro.experiments.parallel import SweepPool  # noqa: E402
 from repro.experiments.runner import trial_seeds  # noqa: E402
-from repro.experiments.workloads import election_trials  # noqa: E402
+from repro.experiments.workloads import ElectionTrial, election_trials  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
 from bench_election_core import (  # noqa: E402
@@ -210,18 +207,16 @@ def bench_vector_core(repeats: int) -> dict:
 
 
 def bench_trials(n: int, trials: int, workers: int) -> dict:
-    def run_one(seed: int):
-        return run_election(n, a0=0.3, seed=seed)
-
+    run_one = ElectionTrial(n, 0.3, None, {})  # run_election's default channel
     seeds = trial_seeds(0, trials, label="bench-par")
 
     started = time.perf_counter()
     serial = [run_one(seed) for seed in seeds]
     serial_elapsed = time.perf_counter() - started
 
-    runner = ParallelTrialRunner(workers=workers)
     started = time.perf_counter()
-    parallel = runner.map(run_one, seeds)
+    with SweepPool(workers) as pool:
+        parallel = pool.map(run_one, seeds)
     parallel_elapsed = time.perf_counter() - started
 
     assert serial == parallel, "parallel trials diverged from serial results"
@@ -271,9 +266,8 @@ def bench_result_store(records: int) -> dict:
     import shutil
     import tempfile
 
-    from repro.experiments.workloads import ElectionTrial
     from repro.network.delays import ExponentialDelay
-    from repro.store import CheckpointJournal
+    from repro.store import ResultStore
 
     # One representative election result is the payload for every record.
     payload = ElectionTrial(8, 0.3, ExponentialDelay(mean=1.0), {})(7)
@@ -282,8 +276,7 @@ def bench_result_store(records: int) -> dict:
     tmp = tempfile.mkdtemp(prefix="bench_result_store_")
     section: dict = {"records": 2 * half}
     try:
-        for kind, filename in (("jsonl", "journal.jsonl"), ("sqlite", "store.sqlite")):
-            store = CheckpointJournal(os.path.join(tmp, filename))
+        with ResultStore(os.path.join(tmp, "store.sqlite")) as store:
             started = time.perf_counter()
             for seed in seeds[:half]:
                 store.record("bench", seed, payload)
@@ -296,7 +289,7 @@ def bench_result_store(records: int) -> dict:
             cached = store.lookup("bench", seeds)
             lookup_elapsed = time.perf_counter() - started
             assert len(cached) == len(seeds)
-            section[kind] = {
+            section["sqlite"] = {
                 "records_per_sec": round(len(seeds) / (first_half + second_half)),
                 "lookups_per_sec": round(len(seeds) / lookup_elapsed),
                 # ~1.0 = O(1) appends; the pre-store whole-file-rewrite
@@ -304,8 +297,6 @@ def bench_result_store(records: int) -> dict:
                 "second_half_cost_ratio": round(second_half / first_half, 2),
                 "bytes_per_record": round(store.bytes_written / len(seeds), 1),
             }
-            if hasattr(store.backend, "close"):
-                store.backend.close()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return section
@@ -389,14 +380,13 @@ def main() -> int:
     )
     print(f"benchmarking result store ({store_records} records) ...", flush=True)
     result_store = bench_result_store(store_records)
-    for kind in ("jsonl", "sqlite"):
-        numbers = result_store[kind]
-        print(
-            f"  {kind}: {numbers['records_per_sec']:,} records/sec, "
-            f"{numbers['lookups_per_sec']:,} lookups/sec, "
-            f"2nd-half cost {numbers['second_half_cost_ratio']}x "
-            f"({numbers['bytes_per_record']} bytes/record)"
-        )
+    numbers = result_store["sqlite"]
+    print(
+        f"  sqlite: {numbers['records_per_sec']:,} records/sec, "
+        f"{numbers['lookups_per_sec']:,} lookups/sec, "
+        f"2nd-half cost {numbers['second_half_cost_ratio']}x "
+        f"({numbers['bytes_per_record']} bytes/record)"
+    )
 
     report = {
         "generated_by": "scripts/bench_report.py",

@@ -12,7 +12,7 @@ from the compiled code objects' ``co_lines()`` tables (walked recursively),
 which approximates coverage.py's statement count from above -- it also counts
 docstring-load lines, so the percentage reported here is slightly
 *pessimistic* relative to pytest-cov.  Lines run only inside forked worker
-processes (``ParallelTrialRunner``) are not observed, same as a default
+processes (pooled ``SweepPool`` maps) are not observed, same as a default
 pytest-cov run without subprocess concurrency support.
 
 Usage::

@@ -19,10 +19,12 @@ import inspect
 import time
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.parallel import SweepPool
 from repro.experiments.reporting import render_experiment
-from repro.experiments.resilience import active_policy
-from repro.experiments.runner import add_execution_arguments, execution_from_args
+from repro.experiments.runner import (
+    add_execution_arguments,
+    execution_from_args,
+    executor_from_args,
+)
 
 
 def main() -> int:
@@ -40,19 +42,14 @@ def main() -> int:
 
     sections = []
     total_started = time.time()
-    # One worker pool serves every experiment that can share it (e1-e3, e5):
-    # pool startup is paid once for the whole report, not once per sweep point.
-    # The execution policy (timeouts/retries/checkpoint) is ambient for the
-    # whole report run, so every experiment inherits it without a signature.
-    with active_policy(policy), SweepPool(workers) as pool:
+    # One executor serves every experiment: pool startup is paid once for the
+    # whole report, and its execution policy (timeouts/retries) and
+    # --checkpoint store apply to every trial.
+    with executor_from_args(args, workers, policy) as pool:
         for experiment_id in sorted(ALL_EXPERIMENTS):
             module = ALL_EXPERIMENTS[experiment_id]
-            kwargs = {}
+            kwargs = {"pool": pool}
             parameters = inspect.signature(module.run).parameters
-            if "pool" in parameters:
-                kwargs["pool"] = pool
-            elif "workers" in parameters:
-                kwargs["workers"] = workers
             if adaptive is not None:
                 if "adaptive" in parameters:
                     kwargs["adaptive"] = adaptive

@@ -35,8 +35,8 @@ Installed as the ``abe-repro`` console script.  Eight sub-commands:
     external analysis tooling.
 
 ``abe-repro migrate``
-    One-shot migration of PR 6 JSONL checkpoint journals into a sqlite
-    result store.
+    One-way conversion of an old JSONL checkpoint journal into a sqlite
+    result store (deprecated: ``--checkpoint`` reads sqlite stores only).
 
 ``abe-repro list``
     List the available experiments with their claims, plus the registered
@@ -54,8 +54,11 @@ from repro.core.analysis import recommended_a0
 from repro.core.runner import run_election
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.reporting import render_experiment
-from repro.experiments.resilience import active_policy
-from repro.experiments.runner import add_execution_arguments, execution_from_args
+from repro.experiments.runner import (
+    add_execution_arguments,
+    execution_from_args,
+    executor_from_args,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -76,6 +79,17 @@ def _report_failures(policy) -> None:
             f"attempt(s): {failure.error_type}: {failure.message}",
             file=sys.stderr,
         )
+
+
+def _open_store(path: str, allow_stale: bool = False):
+    """Open ``serve``/``optimize``'s ``--store``, exiting with a one-line
+    message when the path is not a sqlite store."""
+    from repro.store.result_store import ResultStore
+
+    try:
+        return ResultStore(path, allow_stale=allow_stale)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     migrate = subparsers.add_parser(
-        "migrate", help="migrate a JSONL checkpoint journal into a sqlite store"
+        "migrate",
+        help=(
+            "convert an old JSONL checkpoint journal into a sqlite store "
+            "(deprecated; to be removed in a later release)"
+        ),
     )
     migrate.add_argument("journal", help="source JSONL journal file")
     migrate.add_argument(
@@ -296,8 +314,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
     if args.seed is not None and "base_seed" in supported:
         kwargs["base_seed"] = args.seed
     workers, adaptive, policy = execution_from_args(args)
-    if workers is not None and "workers" in supported:
-        kwargs["workers"] = workers
     if adaptive is not None:
         if "adaptive" not in supported:
             print(
@@ -306,8 +322,8 @@ def _command_experiment(args: argparse.Namespace) -> int:
             )
         else:
             kwargs["adaptive"] = adaptive
-    with active_policy(policy):
-        result = module.run(**kwargs)
+    with executor_from_args(args, workers if workers is not None else 1, policy) as pool:
+        result = module.run(pool=pool, **kwargs)
     print(render_experiment(result))
     _report_failures(policy)
     return 0
@@ -329,6 +345,10 @@ def _command_scenario(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         raise SystemExit(str(error)) from None
     workers, adaptive, policy = execution_from_args(args)
+    if workers is None:
+        # A bare scenario keeps its own ``workers`` field (0 = one per CPU);
+        # a study's points share one executor, serial by default.
+        workers = 1 if isinstance(spec, StudySpec) else spec.workers or None
 
     def adjust(point):
         if args.trials is not None and point.algorithm in ALGORITHMS:
@@ -341,7 +361,7 @@ def _command_scenario(args: argparse.Namespace) -> int:
         return point
 
     try:
-        with active_policy(policy):
+        with executor_from_args(args, workers, policy) as pool:
             if isinstance(spec, StudySpec):
                 study = StudySpec(
                     name=spec.name,
@@ -349,11 +369,7 @@ def _command_scenario(args: argparse.Namespace) -> int:
                     metric=spec.metric,
                     points=tuple(adjust(point) for point in spec.points),
                 )
-                per_point = run_study(
-                    study,
-                    workers=workers if workers is not None else 1,
-                    adaptive=adaptive,
-                )
+                per_point = run_study(study, pool=pool, adaptive=adaptive)
                 print(f"== study: {study.name} ==")
                 for point, results in zip(study.points, per_point):
                     print()
@@ -364,7 +380,7 @@ def _command_scenario(args: argparse.Namespace) -> int:
                     print(scaling)
             else:
                 point = adjust(spec)
-                results = run_scenario(point, workers=workers, adaptive=adaptive)
+                results = run_scenario(point, pool=pool, adaptive=adaptive)
                 print(render_scenario(point, results))
     except ValueError as error:
         raise SystemExit(str(error)) from None
@@ -419,15 +435,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     import time
 
     from repro.scenarios import load_spec
-    from repro.store.result_store import ResultStore
     from repro.store.service import StudyService
 
     if not args.jobs and args.watch is None:
         raise SystemExit("serve needs spec files to submit and/or --watch DIR")
     workers, adaptive, policy = execution_from_args(args)
-    store = ResultStore(
-        args.store, allow_stale=bool(getattr(args, "allow_stale_cache", False))
-    )
+    store = _open_store(args.store, allow_stale=bool(args.allow_stale_cache))
     progress = lambda message: print(message, file=sys.stderr)  # noqa: E731
 
     def submit_file(service, path) -> bool:
@@ -483,7 +496,6 @@ def _command_optimize(args: argparse.Namespace) -> int:
     import json
 
     from repro.dse import comparison_svg, load_search, run_search
-    from repro.store.result_store import ResultStore
 
     try:
         search = load_search(args.search_path)
@@ -503,17 +515,14 @@ def _command_optimize(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
     progress = lambda message: print(message, file=sys.stderr)  # noqa: E731
     try:
-        with ResultStore(
-            store_path, allow_stale=bool(getattr(args, "allow_stale_cache", False))
-        ) as store:
-            with active_policy(policy):
-                report = run_search(
-                    search,
-                    store,
-                    workers=workers if workers is not None else 1,
-                    policy=policy,
-                    progress=progress,
-                )
+        with _open_store(store_path, allow_stale=bool(args.allow_stale_cache)) as store:
+            report = run_search(
+                search,
+                store,
+                workers=workers if workers is not None else 1,
+                policy=policy,
+                progress=progress,
+            )
     except ValueError as error:
         raise SystemExit(str(error)) from None
     report_path = os.path.join(out_dir, "report.json")
@@ -566,7 +575,7 @@ def _command_migrate(args: argparse.Namespace) -> int:
     try:
         with ResultStore(args.store) as store:
             report = migrate_journal(args.journal, store, assume_version=assume)
-    except OSError as error:
+    except (OSError, ValueError) as error:
         raise SystemExit(str(error)) from None
     print(report.summary())
     return 0

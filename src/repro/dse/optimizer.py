@@ -58,8 +58,8 @@ class Optimizer:
         for any worker count -- :class:`AdaptiveStopping` batches and the
         per-seed store keys are both worker-independent).
     policy:
-        Optional :class:`~repro.experiments.resilience.ExecutionPolicy`
-        installed around execution.
+        Optional :class:`~repro.experiments.resilience.ExecutionPolicy` for
+        every trial (carried by the service's executor).
     progress:
         ``callable(str)`` for one-line progress messages.
     """

@@ -28,21 +28,11 @@ laptop-friendly.
 """
 
 from repro.experiments.results import ExperimentResult, ResultTable
-from repro.experiments.runner import (
-    AdaptiveStopping,
-    adaptive_monte_carlo,
-    monte_carlo,
-    trial_seeds,
-)
-from repro.experiments.parallel import ParallelTrialRunner, SweepPool, parallel_map
+from repro.experiments.runner import AdaptiveStopping, monte_carlo, trial_seeds
+from repro.experiments.parallel import SweepPool
 from repro.experiments.reporting import format_table, render_experiment
-from repro.experiments.resilience import (
-    CheckpointJournal,
-    ExecutionPolicy,
-    TrialFailure,
-    active_policy,
-    spec_fingerprint,
-)
+from repro.experiments.resilience import ExecutionPolicy, TrialFailure
+from repro.store.fingerprint import spec_fingerprint
 from repro.experiments import (
     e1_message_complexity,
     e2_time_complexity,
@@ -73,20 +63,15 @@ ALL_EXPERIMENTS = {
 
 __all__ = [
     "AdaptiveStopping",
-    "adaptive_monte_carlo",
     "ExperimentResult",
     "ResultTable",
     "monte_carlo",
     "trial_seeds",
-    "ParallelTrialRunner",
     "SweepPool",
-    "parallel_map",
     "format_table",
     "render_experiment",
-    "CheckpointJournal",
     "ExecutionPolicy",
     "TrialFailure",
-    "active_policy",
     "spec_fingerprint",
     "ALL_EXPERIMENTS",
 ]

@@ -43,8 +43,8 @@ def build_study(
     """The E4 battery: one one-shot channel measurement per probability.
 
     Measurement streams are named per probability inside the runner
-    (:func:`repro.scenarios.algorithms.measure_lossy_channel`), so fanning
-    the points across workers is bit-identical to a serial loop.
+    (:func:`repro.scenarios.algorithms.measure_lossy_channel`), so each
+    point's result depends only on its own spec, in any order or process.
     """
     return StudySpec(
         name=EXPERIMENT_ID,

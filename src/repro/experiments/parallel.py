@@ -1,34 +1,26 @@
-"""Parallel Monte-Carlo trial execution.
+"""The trial executor: one :class:`SweepPool` runs every Monte-Carlo trial.
 
 Every experiment is a set of *independent* trials: ``run_one(seed)`` is a pure
 function of its derived seed (all simulation randomness flows from it through
 :class:`~repro.sim.rng.RandomSource`), so trials can be fanned out across
-``multiprocessing`` workers without any change to the results.  The runner
-maps the exact same ``derive_seed(base, "trial{i}")`` seed list that the
-serial path uses and preserves input order, so serial and parallel execution
-are bit-identical per seed -- asserted by the determinism regression tests.
+``multiprocessing`` workers without any change to the results.  The executor
+maps the exact ``derive_seed(base, "trial{i}")`` seed list that serial
+execution uses and preserves input order, so serial and parallel runs are
+bit-identical per seed -- asserted by the determinism regression tests.
 
-Implementation notes
---------------------
-Experiment trial callables are closures (they capture the ring size, delay
-model, ...), which the default pickler cannot ship to workers.  On platforms
-with the ``fork`` start method the runner therefore publishes the callable in
-a module-level slot *before* forking; workers inherit it through the forked
-address space and only the (picklable) seeds and results cross the process
-boundary.  Where ``fork`` is unavailable (e.g. Windows), the runner degrades
-to in-process execution rather than imposing a picklability requirement on
-every experiment.
+:class:`SweepPool` carries the three execution inputs an entry point chooses
+once: the worker count, an optional
+:class:`~repro.experiments.resilience.ExecutionPolicy` (per-trial timeouts,
+retries, pool rebuilds) and an optional :class:`~repro.store.ResultStore`
+(cached trials are served from it, fresh ones journaled into it).  Its
+:meth:`~SweepPool.map` is the only fan-out and :meth:`~SweepPool.monte_carlo`
+the only trial loop, fixed-count or adaptive.
 
-All pool fan-outs funnel through
-:func:`repro.experiments.resilience.supervised_map` over a rebuildable
-:class:`~repro.experiments.resilience.ForkPoolManager`: without an active
-:class:`~repro.experiments.resilience.ExecutionPolicy` that is the historical
-chunked ordered gather (bit-identical results) plus interrupt-safe teardown
--- ``KeyboardInterrupt`` terminates and joins the workers instead of leaking
-orphaned forks -- and with a policy it adds per-trial timeouts, retries and
-pool rebuilding.  The Monte-Carlo entry points additionally consult the
-policy's :class:`~repro.experiments.resilience.CheckpointJournal` so resumed
-studies skip completed ``(fingerprint, seed)`` trials.
+Worker processes are forked once and reused by every ``map``, so a callable
+fanned over more than one worker must pickle: use a module-level function, a
+``functools.partial`` over one, or a callable class such as
+:class:`repro.experiments.workloads.ElectionTrial`.  Where ``fork`` is
+unavailable (e.g. Windows) the executor runs in process instead.
 """
 
 from __future__ import annotations
@@ -36,21 +28,24 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import os
+import pickle
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
 
 from repro.experiments.resilience import (
+    ExecutionPolicy,
     ForkPoolManager,
-    checkpointed_trials,
-    resolve_checkpoint,
+    TrialFailure,
     run_trial,
     supervised_map,
 )
 
+if TYPE_CHECKING:
+    from repro.experiments.runner import AdaptiveStopping
+    from repro.store.result_store import ResultStore
+
 __all__ = [
-    "ParallelTrialRunner",
     "SweepPool",
-    "parallel_map",
     "default_worker_count",
     "fork_available",
     "resolve_worker_count",
@@ -60,14 +55,6 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Slot through which forked workers inherit the (unpicklable) trial callable.
-_WORKER_FN: Optional[Callable[[Any], Any]] = None
-
-
-def _invoke(item: Any) -> Any:
-    """Top-level trampoline executed in workers (must be picklable itself)."""
-    return _WORKER_FN(item)
-
 
 def default_worker_count() -> int:
     """Worker count used for ``workers=None``: one per available CPU."""
@@ -75,7 +62,7 @@ def default_worker_count() -> int:
 
 
 def fork_available() -> bool:
-    """Whether the ``fork`` start method (required for closures) exists."""
+    """Whether the ``fork`` start method (required for worker pools) exists."""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -103,247 +90,60 @@ def worker_count_argument(text: str) -> int:
     return value
 
 
-def _adaptive_via(
-    mapper: Optional[Callable],
-    run_one: Callable[[int], Any],
-    trials: int,
-    base_seed: int,
-    label: str,
-    keep: Optional[Callable[[Any], bool]],
-    adaptive: Any,
-    stats_out: Optional[dict] = None,
-    checkpoint: Optional[Any] = None,
-    checkpoint_key: Optional[str] = None,
-) -> List[Any]:
-    """The one adaptive-dispatch forwarding point for every pool flavour."""
-    from repro.experiments.runner import adaptive_monte_carlo  # late: avoids cycle
-
-    return adaptive_monte_carlo(
-        run_one,
-        trials=trials,
-        adaptive=adaptive,
-        base_seed=base_seed,
-        label=label,
-        keep=keep,
-        mapper=mapper,
-        stats_out=stats_out,
-        checkpoint=checkpoint,
-        checkpoint_key=checkpoint_key,
-    )
+def _require_picklable(fn: Callable[[Any], Any]) -> None:
+    """Refuse, before any dispatch, a callable the workers could never receive."""
+    try:
+        pickle.dumps(fn)
+    except (pickle.PicklingError, TypeError, AttributeError) as error:
+        raise TypeError(
+            f"{fn!r} cannot be sent to pool workers ({type(error).__name__}: "
+            f"{error}); pass a module-level function or a picklable callable "
+            "class such as repro.experiments.workloads.ElectionTrial, or run "
+            "with workers=1"
+        ) from None
 
 
-class ParallelTrialRunner:
-    """Fans independent trials across ``multiprocessing`` workers.
+class SweepPool:
+    """The one trial executor: workers, policy and store, shared by a sweep.
 
     Parameters
     ----------
     workers:
-        Number of worker processes.  ``1`` (the default) runs everything in
-        process -- the exact serial code path, no pool is created.  ``None``
-        means one worker per CPU.
-    chunk_size:
-        Trials handed to a worker per dispatch; defaults to an even split
-        into about four chunks per worker, which balances scheduling overhead
-        against tail latency from uneven trial durations.
+        Worker processes.  ``1`` (the default) runs everything in process and
+        never creates a pool; ``None`` means one per CPU.  A pool is forked
+        lazily on the first ``map`` that needs one and reused until
+        :meth:`close`, so a run served entirely from the store forks nothing.
+    policy:
+        Optional :class:`~repro.experiments.resilience.ExecutionPolicy`.
+        Without one a trial exception propagates; with one, failed trials are
+        retried bit-identically and exhausted ones come back as
+        :class:`~repro.experiments.resilience.TrialFailure` entries (also
+        appended to ``policy.failures``).  Timeouts need a worker to kill and
+        so apply to pooled maps only.
+    store:
+        Optional :class:`~repro.store.ResultStore`.  Keyed trials
+        (:meth:`run_seeds` / :meth:`monte_carlo` with a ``key``) are looked up
+        before dispatch and journaled as they complete: after every trial
+        when serial, after every ``max(16, 4 * workers)`` trials on a pool.
+        Failed trials are never journaled, so a resumed run re-attempts them.
 
-    Notes
-    -----
-    Results are returned in input order, so ``run.map(f, seeds)`` equals
-    ``[f(s) for s in seeds]`` element for element whenever ``f`` is a pure
-    function of its argument -- the property the seed-derivation discipline
-    guarantees for experiment trials.
+    Results never depend on the worker count, the policy (absent failures)
+    or the store: every trial is a pure function of its seed.
     """
 
-    def __init__(self, workers: Optional[int] = 1, chunk_size: Optional[int] = None) -> None:
-        if workers is None:
-            workers = default_worker_count()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.workers = int(workers)
-        self.chunk_size = chunk_size
-
-    # ---------------------------------------------------------------- mapping
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, in input order, possibly in parallel."""
-        items = list(items)
-        if self.workers == 1 or len(items) <= 1 or not fork_available():
-            # Serial fallback honours the same retry/failure contract as the
-            # pool (run_trial is fn(item) verbatim without a policy).
-            return [run_trial(fn, item) for item in items]
-        global _WORKER_FN
-        context = multiprocessing.get_context("fork")
-        processes = min(self.workers, len(items))
-        previous = _WORKER_FN
-        _WORKER_FN = fn
-        # _WORKER_FN stays published for the whole map so a supervised pool
-        # rebuild forks workers that inherit the same callable.
-        pools = ForkPoolManager(lambda: context.Pool(processes=processes))
-        try:
-            return supervised_map(
-                fn,
-                items,
-                task=_invoke,
-                pools=pools,
-                workers=processes,
-                chunk_size=self.chunk_size,
-            )
-        finally:
-            pools.shutdown()
-            _WORKER_FN = previous
-
-    @contextmanager
-    def persistent_mapper(
-        self, fn: Callable[[T], R]
-    ) -> Iterator[Optional[Callable[[Callable[[T], R], Sequence[T]], List[R]]]]:
-        """One long-lived fork pool serving many ``map`` calls over ``fn``.
-
-        :meth:`map` forks (and tears down) a fresh pool per call, which is
-        the right trade for one-shot fan-outs but makes a batched consumer
-        -- adaptive stopping dispatches a small batch per convergence check
-        -- pay the pool startup once per batch.  This context manager
-        publishes ``fn`` once, forks a single pool whose workers inherit it,
-        and yields a ``mapper(fn, items)`` usable any number of times; the
-        mapper rejects any other callable, because only ``fn`` crossed the
-        fork.  Yields ``None`` (caller runs serially) for one worker or
-        where ``fork`` is unavailable.  Result order and content are
-        identical to per-call :meth:`map`.
-        """
-        if self.workers == 1 or not fork_available():
-            yield None
-            return
-        global _WORKER_FN
-        previous = _WORKER_FN
-        _WORKER_FN = fn
-        context = multiprocessing.get_context("fork")
-        pools = ForkPoolManager(lambda: context.Pool(processes=self.workers))
-        pools.get()
-        try:
-
-            def mapper(mapped_fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-                if mapped_fn is not fn:
-                    raise ValueError(
-                        "persistent_mapper serves exactly the callable its "
-                        "workers inherited at fork time"
-                    )
-                # _WORKER_FN is still published here (restored only on block
-                # exit), so supervised rebuilds re-fork with fn inherited.
-                return supervised_map(
-                    fn,
-                    list(items),
-                    task=_invoke,
-                    pools=pools,
-                    workers=self.workers,
-                    chunk_size=self.chunk_size,
-                )
-
-            yield mapper
-        finally:
-            pools.shutdown()
-            _WORKER_FN = previous
-
-    # ------------------------------------------------------------ monte carlo
-
-    def monte_carlo(
+    def __init__(
         self,
-        run_one: Callable[[int], T],
-        trials: int,
-        base_seed: int = 0,
-        label: str = "",
-        keep: Optional[Callable[[T], bool]] = None,
-        adaptive: Optional[Any] = None,
-        stats_out: Optional[dict] = None,
-        checkpoint: Optional[Any] = None,
-        checkpoint_key: Optional[str] = None,
-    ) -> List[T]:
-        """Parallel equivalent of :func:`repro.experiments.runner.monte_carlo`.
-
-        Seeds are derived with the identical ``derive_seed(base, "trial{i}")``
-        discipline, and the ``keep`` filter is applied in the parent after the
-        ordered gather, so the returned list is bit-identical to the serial
-        runner's for any worker count.  ``adaptive`` (an
-        :class:`~repro.experiments.runner.AdaptiveStopping`) dispatches whole
-        batches to one long-lived fork pool (:meth:`persistent_mapper`, not a
-        fresh pool per batch) and stops at batch boundaries -- the stopping
-        point is worker-count independent.  ``checkpoint`` (an explicit
-        :class:`~repro.experiments.resilience.CheckpointJournal`, or the
-        ambient policy's) skips already-journaled ``(key, seed)`` trials and
-        journals fresh ones in record batches.
-        """
-        from repro.experiments.runner import trial_seeds  # late: avoids cycle
-
-        if adaptive is not None:
-            with self.persistent_mapper(run_one) as mapper:
-                return _adaptive_via(
-                    mapper,
-                    run_one,
-                    trials,
-                    base_seed,
-                    label,
-                    keep,
-                    adaptive,
-                    stats_out,
-                    checkpoint,
-                    checkpoint_key,
-                )
-        journal, key = resolve_checkpoint(
-            checkpoint, checkpoint_key, run_one, base_seed, label
-        )
-        outcomes = checkpointed_trials(
-            trial_seeds(base_seed, trials, label),
-            lambda block: self.map(run_one, block),
-            journal,
-            key,
-            record_batch=max(16, 4 * self.workers),
-        )
-        if keep is None:
-            return outcomes
-        return [outcome for outcome in outcomes if keep(outcome)]
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Sequence[T], workers: Optional[int] = 1
-) -> List[R]:
-    """One-shot convenience wrapper around :meth:`ParallelTrialRunner.map`."""
-    return ParallelTrialRunner(workers=workers).map(fn, items)
-
-
-class SweepPool:
-    """One process pool shared across every parameter point of a sweep.
-
-    :class:`ParallelTrialRunner` forks a fresh pool per ``map`` call, which is
-    correct for arbitrary closures (they are inherited through the forked
-    address space) but pays the pool startup once per ring size / parameter
-    point.  ``SweepPool`` instead keeps a single ``fork`` pool alive for the
-    whole sweep and ships each point's tasks to the already-running workers.
-
-    The price of reuse is picklability: because workers outlive any single
-    ``map`` call, the callable can no longer be inherited at fork time and
-    must cross the process boundary -- use a module-level function, a
-    ``functools.partial`` over one, or a picklable callable object such as
-    :class:`repro.experiments.workloads.ElectionTrial`.
-
-    Determinism is untouched: :meth:`monte_carlo` derives the exact
-    ``derive_seed(base, "trial{i}")`` seed list the serial path uses, and
-    ``Pool.map`` preserves input order, so results are bit-identical to the
-    serial runner for any worker count.
-
-    The pool is created lazily on the first parallel ``map`` and torn down by
-    :meth:`close` (or the context manager).  ``workers=1`` never creates a
-    pool and runs everything serially in process.
-    """
-
-    def __init__(self, workers: Optional[int] = 1, chunk_size: Optional[int] = None) -> None:
+        workers: Optional[int] = 1,
+        policy: Optional[ExecutionPolicy] = None,
+        store: Optional["ResultStore"] = None,
+    ) -> None:
         if workers is None:
             workers = default_worker_count()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.workers = int(workers)
-        self.chunk_size = chunk_size
+        self.policy = policy
+        self.store = store
         context = multiprocessing.get_context("fork") if fork_available() else None
         self._pools = ForkPoolManager(
             lambda: context.Pool(processes=self.workers)  # type: ignore[union-attr]
@@ -365,8 +165,9 @@ class SweepPool:
         """Yield ``pool`` if given, else a freshly owned ``SweepPool(workers)``.
 
         The one pool-lifecycle idiom of the experiment sweeps: an externally
-        supplied pool is left open for its owner (so one pool can serve many
-        experiments), while a pool created here is closed on exit.
+        supplied pool (with its policy and store) is left open for its owner,
+        so one executor can serve many experiments, while a pool created here
+        is closed on exit.
         """
         if pool is not None:
             yield pool
@@ -385,26 +186,60 @@ class SweepPool:
 
     def close(self) -> None:
         """Tear down the worker pool (idempotent); the object stays usable
-        serially afterwards only for ``workers=1``."""
+        serially afterwards only for ``workers=1``.  The store is left open
+        for its owner."""
         self._closed = True
         self._pools.shutdown()
 
     # ---------------------------------------------------------------- mapping
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, in input order, on the shared pool."""
+        """Apply ``fn`` to every item, in input order, under the policy.
+
+        A single item, ``workers=1`` or a platform without ``fork`` runs in
+        process; otherwise the items are dispatched to the shared pool, which
+        first requires ``fn`` to pickle (``TypeError`` otherwise).
+        """
         items = list(items)
         if self.workers == 1 or len(items) <= 1 or not fork_available():
-            return [run_trial(fn, item) for item in items]
+            return [run_trial(fn, item, self.policy) for item in items]
         if self._closed:
             raise RuntimeError("SweepPool is closed")
+        _require_picklable(fn)
         return supervised_map(
-            fn,
-            items,
-            pools=self._pools,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
+            fn, items, pools=self._pools, workers=self.workers, policy=self.policy
         )
+
+    def run_seeds(
+        self, run_one: Callable[[int], T], seeds: Sequence[int], key: Optional[str] = None
+    ) -> List[T]:
+        """``run_one`` at every seed, in seed order, through the store.
+
+        With a store and a ``key`` (a spec fingerprint, or
+        :func:`~repro.store.callable_fingerprint` for a raw callable),
+        completed ``(key, seed)`` trials come from the store and only the
+        missing ones are mapped, in journaling blocks; without either every
+        seed is mapped and nothing is recorded.
+        """
+        seeds = list(seeds)
+        if self.store is None or key is None:
+            return self.map(run_one, seeds)
+        by_seed: Dict[int, Any] = self.store.lookup(key, seeds)
+        missing = [seed for seed in seeds if seed not in by_seed]
+        step = 1 if self.workers == 1 else max(16, 4 * self.workers)
+        for start in range(0, len(missing), step):
+            block = missing[start : start + step]
+            fresh = self.map(run_one, block)
+            by_seed.update(zip(block, fresh))
+            self.store.record_many(
+                key,
+                [
+                    (seed, result)
+                    for seed, result in zip(block, fresh)
+                    if not isinstance(result, TrialFailure)
+                ],
+            )
+        return [by_seed[seed] for seed in seeds]
 
     # ------------------------------------------------------------ monte carlo
 
@@ -415,46 +250,53 @@ class SweepPool:
         base_seed: int = 0,
         label: str = "",
         keep: Optional[Callable[[T], bool]] = None,
-        adaptive: Optional[Any] = None,
-        stats_out: Optional[dict] = None,
-        checkpoint: Optional[Any] = None,
-        checkpoint_key: Optional[str] = None,
+        adaptive: Optional["AdaptiveStopping"] = None,
+        stats_out: Optional[Dict[str, Any]] = None,
+        key: Optional[str] = None,
     ) -> List[T]:
-        """Pool-reusing equivalent of :func:`repro.experiments.runner.monte_carlo`.
+        """Run ``run_one`` over ``trials`` derived seeds and collect the results.
 
-        Same seed list, same ordered gather, same post-hoc ``keep`` filter;
-        only the pool lifetime differs, so results are bit-identical to the
-        serial and :class:`ParallelTrialRunner` paths.  ``adaptive`` stops at
-        worker-count-independent batch boundaries, exactly like the serial
-        rule (see :class:`~repro.experiments.runner.AdaptiveStopping`); its
-        batches ride this pool's long-lived workers.  ``checkpoint`` skips
-        and journals ``(key, seed)`` trials exactly like the serial runner.
+        Trial ``i`` uses ``derive_seed(base_seed, "[label/]trial{i}")``
+        (:func:`~repro.experiments.runner.trial_seeds`); ``keep`` filters the
+        ordered results afterwards.  ``adaptive`` (an
+        :class:`~repro.experiments.runner.AdaptiveStopping`) runs ``min_trials``
+        first and then ``batch_size`` batches, stopping at the first batch
+        boundary where the target metric's Student-t interval is tight enough
+        (``trials`` is the default ``max_trials``); ``stats_out`` then
+        receives ``trials_executed`` and ``stopped_early``.  Each batch is one
+        :meth:`run_seeds` call, so the stopping point depends only on the
+        per-seed results -- identical for every worker count and for a run
+        resumed from ``key``'s stored trials.
         """
         from repro.experiments.runner import trial_seeds  # late: avoids cycle
 
-        if adaptive is not None:
-            return _adaptive_via(
-                self.map,
-                run_one,
-                trials,
-                base_seed,
-                label,
-                keep,
-                adaptive,
-                stats_out,
-                checkpoint,
-                checkpoint_key,
-            )
-        journal, key = resolve_checkpoint(
-            checkpoint, checkpoint_key, run_one, base_seed, label
-        )
-        outcomes = checkpointed_trials(
-            trial_seeds(base_seed, trials, label),
-            lambda block: self.map(run_one, block),
-            journal,
-            key,
-            record_batch=max(16, 4 * self.workers),
-        )
-        if keep is None:
-            return outcomes
-        return [outcome for outcome in outcomes if keep(outcome)]
+        if adaptive is None:
+            outcomes = self.run_seeds(run_one, trial_seeds(base_seed, trials, label), key)
+            return outcomes if keep is None else [o for o in outcomes if keep(o)]
+
+        from repro.stats.confidence import relative_half_width  # scipy: import late
+
+        adaptive = adaptive.resolved("messages_total")
+        max_trials = adaptive.max_trials if adaptive.max_trials is not None else trials
+        min_trials = min(adaptive.min_trials, max_trials)
+        seeds = trial_seeds(base_seed, max_trials, label)
+        kept: List[T] = []
+        values: List[float] = []
+        index = 0
+        converged = False
+        while index < max_trials and not converged:
+            upper = min_trials if index < min_trials else min(index + adaptive.batch_size, max_trials)
+            for outcome in self.run_seeds(run_one, seeds[index:upper], key):
+                if keep is not None and not keep(outcome):
+                    continue
+                kept.append(outcome)
+                value = getattr(outcome, adaptive.metric)
+                if value is not None:
+                    values.append(float(value))
+            index = upper
+            if len(values) >= 2:
+                converged = relative_half_width(values, adaptive.confidence) <= adaptive.ci_tolerance
+        if stats_out is not None:
+            stats_out["trials_executed"] = index
+            stats_out["stopped_early"] = converged and index < max_trials
+        return kept

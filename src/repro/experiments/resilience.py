@@ -1,56 +1,32 @@
-"""Resilient trial execution: supervision, timeouts, retries, checkpointing.
+"""Resilient trial execution: supervision, timeouts, retries, failure records.
 
 The ABE model is about making progress despite an adversarial network; this
 module is the same idea applied to the *execution layer*.  Monte-Carlo studies
-fan thousands of independent trials across ``fork`` workers, and three things
+fan thousands of independent trials across ``fork`` workers, and two things
 can go wrong in practice:
 
 * a worker dies (OOM kill, segfault, operator ``kill -9``) and its in-flight
   task silently never completes -- a blocking ``pool.map`` then hangs forever;
 * a trial itself diverges (a pathological scenario spec with heavy faults can
   leave the election waiting on messages that were dropped) and occupies a
-  worker indefinitely;
-* the whole study process is killed at trial 900/1000 and a restart pays for
-  everything again.
+  worker indefinitely.
 
-Three cooperating pieces answer these failure modes:
+:func:`supervised_map` answers both.  It is the ordered pool fan-out behind
+:meth:`repro.experiments.parallel.SweepPool.map`.  Without a supervising
+:class:`ExecutionPolicy` it is behaviourally the old ``pool.map`` (chunked
+dispatch, ordered gather, bit-identical results) except that it reacts to
+``KeyboardInterrupt`` by terminating and joining the worker processes instead
+of leaking orphaned forks.  With a policy it dispatches trials individually,
+bounds each wait by the per-trial wall-clock timeout, rebuilds a broken pool
+with capped exponential backoff, re-runs only the failed seeds (trials are pure
+functions of their seeds, so retries are bit-identical), degrades to
+in-process serial execution when the pool itself keeps failing without
+progress, and records structured :class:`TrialFailure` entries instead of
+raising mid-study.  :func:`run_trial` is its serial counterpart.
 
-:func:`supervised_map`
-    The one ordered fan-out primitive behind
-    :meth:`~repro.experiments.parallel.ParallelTrialRunner.map`,
-    :meth:`~repro.experiments.parallel.ParallelTrialRunner.persistent_mapper`
-    and :meth:`~repro.experiments.parallel.SweepPool.map`.  Without an active
-    :class:`ExecutionPolicy` it is behaviourally the old ``pool.map`` (chunked
-    dispatch, ordered gather, bit-identical results) except that it reacts to
-    ``KeyboardInterrupt`` by terminating and joining the worker processes
-    instead of leaking orphaned forks.  With a policy it dispatches trials
-    individually, bounds each wait by the per-trial wall-clock timeout,
-    rebuilds a broken pool with capped exponential backoff, re-runs only the
-    failed seeds (trials are pure functions of their seeds, so retries are
-    bit-identical), degrades to in-process serial execution when the pool
-    itself keeps failing without progress, and records structured
-    :class:`TrialFailure` entries instead of raising mid-study.
-
-:class:`CheckpointJournal`
-    A persistent result store keyed by ``(fingerprint, seed, code_version)``,
-    consulted by every ``monte_carlo`` flavour through
-    :func:`checkpointed_trials`: a resumed study skips completed trials and
-    reproduces the aggregate results bit for bit, because the journal stores
-    the exact trial results (dataclasses round-trip field-for-field through
-    JSON) and the seed discipline makes the remaining trials independent of
-    the ones already done.  The storage layer itself (append-only JSONL and
-    sqlite backends, fingerprint discipline, code-version gating, the
-    ``abe-repro serve`` study service) lives in :mod:`repro.store`; this
-    module re-exports the journal and fingerprint names it introduced in
-    PR 6 so existing imports keep working.
-
-:class:`ExecutionPolicy` / :func:`active_policy`
-    The ambient execution contract.  Entry points (``abe-repro experiment``,
-    ``abe-repro scenario``, ``scripts/run_all_experiments.py``) build one
-    policy from ``--trial-timeout``/``--retries``/``--checkpoint``/``--resume``
-    and install it for the duration of the run; the mapping and Monte-Carlo
-    layers consult :func:`current_policy` so no experiment module needed a
-    signature change to become resilient.
+The third failure mode -- the study process killed at trial 900/1000 -- is
+answered by the executor's :class:`~repro.store.ResultStore`: a resumed run
+serves completed trials from it (see :class:`~repro.experiments.parallel.SweepPool`).
 
 The in-simulation counterpart -- the divergence watchdog that makes a
 pathological trial *fail fast inside the worker* instead of only via an
@@ -64,39 +40,19 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from repro.store.codec import decode_result, encode_result
-from repro.store.fingerprint import callable_fingerprint, spec_fingerprint
-from repro.store.journal import JOURNAL_DISABLED, CheckpointJournal
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "CheckpointJournal",
-    "JOURNAL_DISABLED",
     "ExecutionPolicy",
     "ForkPoolManager",
     "TrialFailure",
-    "active_policy",
-    "callable_fingerprint",
-    "checkpointed_trials",
-    "current_policy",
-    "decode_result",
-    "encode_result",
-    "resolve_checkpoint",
     "run_trial",
-    "spec_fingerprint",
     "supervised_map",
 ]
 
 #: Sentinel for "no result yet" slots (None is a legal trial result).
 _MISSING = object()
-
-#: Crash-safety granularity when a journal is active and the caller does not
-#: pin one: results are recorded after every block of this many trials, so a
-#: killed study loses at most one block per point.
-DEFAULT_RECORD_BATCH = 16
 
 
 # =============================================================== trial failure
@@ -184,10 +140,6 @@ class ExecutionPolicy:
         trials.  Productive rounds -- even ones that time a trial out -- never
         trigger degradation; this bound only catches a pool that cannot run
         anything at all (e.g. ``fork`` itself failing repeatedly).
-    checkpoint:
-        Optional :class:`CheckpointJournal` consulted by every Monte-Carlo
-        flavour; completed ``(fingerprint, seed)`` trials are skipped and
-        fresh results are journaled as they complete.
     failures:
         Structured :class:`TrialFailure` log, appended to by the supervisor
         (shared across every map the policy supervises).
@@ -198,7 +150,6 @@ class ExecutionPolicy:
     backoff_base: float = 0.25
     backoff_cap: float = 5.0
     max_pool_rebuilds: int = 3
-    checkpoint: Optional["CheckpointJournal"] = None
     failures: List[TrialFailure] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -217,115 +168,6 @@ class ExecutionPolicy:
     def supervised(self) -> bool:
         """Whether maps must take the per-trial supervision path."""
         return self.trial_timeout is not None or self.retries > 0
-
-
-#: The ambient policy entry points install around a run (None = legacy
-#: behaviour: blocking gather, failures raise, no journal).
-_ACTIVE_POLICY: Optional[ExecutionPolicy] = None
-
-
-def current_policy() -> Optional[ExecutionPolicy]:
-    """The ambient :class:`ExecutionPolicy`, or ``None`` outside any."""
-    return _ACTIVE_POLICY
-
-
-@contextmanager
-def active_policy(policy: Optional[ExecutionPolicy]) -> Iterator[Optional[ExecutionPolicy]]:
-    """Install ``policy`` as the ambient execution policy for the block.
-
-    Forked workers inherit the installed policy, but all supervision happens
-    in the parent -- workers only ever run the plain trial callable.
-    ``active_policy(None)`` is a no-op block, which lets entry points wrap
-    their run unconditionally.
-    """
-    global _ACTIVE_POLICY
-    previous = _ACTIVE_POLICY
-    _ACTIVE_POLICY = policy
-    try:
-        yield policy
-    finally:
-        _ACTIVE_POLICY = previous
-
-
-# ======================================================== checkpoint resolution
-#
-# The journal/store machinery itself (codec, fingerprints, CheckpointJournal,
-# ResultStore, migration, the serve-mode service) lives in ``repro.store``;
-# the names historically defined here -- spec_fingerprint,
-# callable_fingerprint, encode_result, decode_result, CheckpointJournal --
-# are re-exported above.  What remains here is the execution-side funnel:
-# which store and key a given Monte-Carlo call should consult.
-
-
-def resolve_checkpoint(
-    checkpoint: Optional[CheckpointJournal],
-    checkpoint_key: Any,
-    run_one: Any,
-    base_seed: int,
-    label: str,
-) -> Tuple[Optional[CheckpointJournal], Optional[str]]:
-    """The journal and key a Monte-Carlo call should use, or ``(None, None)``.
-
-    Explicit arguments win; otherwise the ambient policy's journal applies
-    with a :func:`callable_fingerprint` key.  Either piece missing disables
-    journaling for the call (never guesses a key).  Callers that positively
-    know their workload has no canonical fingerprint (``spec_fingerprint``
-    returned ``None``) pass :data:`~repro.store.journal.JOURNAL_DISABLED` as
-    the key, which disables journaling *without* falling back to a callable
-    fingerprint -- the spec layer's refusal is authoritative.
-    """
-    if checkpoint_key is JOURNAL_DISABLED:
-        return None, None
-    journal = checkpoint
-    if journal is None:
-        policy = current_policy()
-        journal = policy.checkpoint if policy is not None else None
-    if journal is None:
-        return None, None
-    key = checkpoint_key
-    if key is None:
-        key = callable_fingerprint(run_one, base_seed, label)
-    if key is None:
-        return None, None
-    return journal, key
-
-
-def checkpointed_trials(
-    seeds: Sequence[Any],
-    execute: Callable[[Sequence[Any]], List[Any]],
-    journal: Optional[CheckpointJournal],
-    key: Optional[str],
-    record_batch: Optional[int] = None,
-) -> List[Any]:
-    """Run ``seeds`` through ``execute``, skipping and journaling via ``journal``.
-
-    The one checkpoint-consulting step shared by every Monte-Carlo flavour:
-    already-completed seeds come straight from the journal, only the missing
-    ones are executed (in blocks of ``record_batch``, journaled as each block
-    completes, so a killed run loses at most one block), and the returned
-    list is in the original seed order -- bit-identical to an uncheckpointed
-    run because trials are pure functions of their seeds.
-    :class:`TrialFailure` placeholders are returned but never journaled, so a
-    resumed run re-attempts them.
-    """
-    seeds = list(seeds)
-    if journal is None or key is None:
-        return execute(seeds) if seeds else []
-    cached = journal.lookup(key, seeds)
-    missing = [seed for seed in seeds if seed not in cached]
-    by_seed: Dict[Any, Any] = dict(cached)
-    if missing:
-        step = record_batch or DEFAULT_RECORD_BATCH
-        for start in range(0, len(missing), step):
-            block = missing[start : start + step]
-            fresh = execute(block)
-            pairs: List[Tuple[int, Any]] = []
-            for seed, result in zip(block, fresh):
-                by_seed[seed] = result
-                if not isinstance(result, TrialFailure):
-                    pairs.append((seed, result))
-            journal.record_many(key, pairs)
-    return [by_seed[seed] for seed in seeds]
 
 
 # ============================================================ pool supervision
@@ -378,48 +220,38 @@ def supervised_map(
     *,
     pools: ForkPoolManager,
     workers: int,
-    chunk_size: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
-    task: Optional[Callable[[Any], Any]] = None,
 ) -> List[Any]:
     """Ordered parallel map over a rebuildable pool; the one fan-out primitive.
 
     Parameters
     ----------
     fn:
-        The in-parent trial callable (used directly for degraded serial
-        execution).
-    task:
-        The picklable per-item callable shipped to workers; defaults to
-        ``fn``.  Fork-inheritance callers pass their module-level trampoline
-        here (the closure itself never crosses the process boundary).
+        The picklable per-item callable, shipped to the workers (and run in
+        the parent directly after serial degradation).
     pools:
         The :class:`ForkPoolManager` owning the worker pool.  The caller
         remains responsible for final ``shutdown()`` of long-lived pools;
         this function shuts the pool down itself only on interrupt or
         degradation.
     policy:
-        Explicit :class:`ExecutionPolicy`; defaults to the ambient one.  With
-        no (supervising) policy the map is the historical chunked blocking
-        gather -- bit-identical results, plus interrupt-safe teardown.
+        Optional :class:`ExecutionPolicy`.  With no (supervising) policy the
+        map is the historical chunked blocking gather -- bit-identical
+        results, plus interrupt-safe teardown.
     """
     items = list(items)
     if not items:
         return []
-    worker_task = task if task is not None else fn
-    if policy is None:
-        policy = current_policy()
     if policy is None or not policy.supervised:
-        return _plain_pool_map(items, worker_task, pools, workers, chunk_size)
-    return _resilient_pool_map(fn, items, worker_task, pools, policy)
+        return _plain_pool_map(items, fn, pools, workers)
+    return _resilient_pool_map(fn, items, pools, policy)
 
 
 def _plain_pool_map(
     items: List[Any],
-    worker_task: Callable[[Any], Any],
+    fn: Callable[[Any], Any],
     pools: ForkPoolManager,
     workers: int,
-    chunk_size: Optional[int],
 ) -> List[Any]:
     """The unsupervised path: chunked dispatch, ordered blocking gather.
 
@@ -429,10 +261,10 @@ def _plain_pool_map(
     A worker exception propagates unchanged and leaves the pool usable, like
     ``pool.map`` always did.
     """
-    chunk = chunk_size or max(1, len(items) // (workers * 4))
+    chunk = max(1, len(items) // (workers * 4))
     pool = pools.get()
     handles = [
-        pool.apply_async(_call_chunk, (worker_task, items[start : start + chunk]))
+        pool.apply_async(_call_chunk, (fn, items[start : start + chunk]))
         for start in range(0, len(items), chunk)
     ]
     results: List[Any] = []
@@ -491,7 +323,7 @@ def _serial_attempts(
 def run_trial(
     fn: Callable[[Any], Any], item: Any, policy: Optional[ExecutionPolicy] = None
 ) -> Any:
-    """Run one trial under the (ambient) policy's retry/failure contract.
+    """Run one trial under the policy's retry/failure contract.
 
     The serial counterpart of :func:`supervised_map`: with no supervising
     policy it is exactly ``fn(item)``; with one, exceptions are retried
@@ -500,8 +332,6 @@ def run_trial(
     ``workers=1`` as on a pool.  (Wall-clock timeouts need a separate worker
     process to kill and so apply only to pool execution.)
     """
-    if policy is None:
-        policy = current_policy()
     if policy is None or not policy.supervised:
         return fn(item)
     return _serial_attempts(fn, item, 0, policy)
@@ -510,7 +340,6 @@ def run_trial(
 def _resilient_pool_map(
     fn: Callable[[Any], Any],
     items: List[Any],
-    worker_task: Callable[[Any], Any],
     pools: ForkPoolManager,
     policy: ExecutionPolicy,
 ) -> List[Any]:
@@ -549,7 +378,7 @@ def _resilient_pool_map(
         try:
             pool = pools.get()
             handles = [
-                (index, pool.apply_async(worker_task, (items[index],)))
+                (index, pool.apply_async(fn, (items[index],)))
                 for index in pending
             ]
         except (KeyboardInterrupt, SystemExit):

@@ -17,35 +17,36 @@ interval on the target metric is tight enough (relative half-width below
 ``ci_tolerance``), bounded by ``min_trials``/``max_trials``.  Because the
 batch boundaries and the derived seed list depend only on the configuration
 -- never on the worker count or on timing -- the executed trial set, the
-stopping point and the returned results are bit-identical for serial,
-:class:`~repro.experiments.parallel.ParallelTrialRunner` and
-:class:`~repro.experiments.parallel.SweepPool` execution.
+stopping point and the returned results are bit-identical for every worker
+count.  The loop itself lives in the one executor,
+:meth:`repro.experiments.parallel.SweepPool.monte_carlo`; :func:`monte_carlo`
+here is its convenience wrapper.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
 
-from repro.experiments.parallel import ParallelTrialRunner, SweepPool
-from repro.experiments.resilience import (
-    CheckpointJournal,
-    ExecutionPolicy,
-    checkpointed_trials,
-    resolve_checkpoint,
-    run_trial,
+from repro.experiments.parallel import (
+    SweepPool,
+    resolve_worker_count,
+    worker_count_argument,
 )
+from repro.experiments.resilience import ExecutionPolicy
 from repro.sim.rng import derive_seed
+from repro.store.result_store import ResultStore
 
 __all__ = [
     "AdaptiveStopping",
-    "adaptive_monte_carlo",
     "adaptive_parameters",
     "add_adaptive_stopping_arguments",
     "add_execution_arguments",
     "adaptive_stopping_from_args",
     "execution_from_args",
     "execution_policy_from_args",
+    "executor_from_args",
     "trial_seeds",
     "monte_carlo",
     "mean_of_attribute",
@@ -137,71 +138,6 @@ class AdaptiveStopping:
         )
 
 
-def adaptive_monte_carlo(
-    run_one: Callable[[int], T],
-    trials: int,
-    adaptive: AdaptiveStopping,
-    base_seed: int = 0,
-    label: str = "",
-    keep: Optional[Callable[[T], bool]] = None,
-    mapper: Optional[Callable[[Callable[[int], T], Sequence[int]], List[T]]] = None,
-    stats_out: Optional[Dict[str, Any]] = None,
-    checkpoint: Optional[CheckpointJournal] = None,
-    checkpoint_key: Optional[str] = None,
-) -> List[T]:
-    """Run trials in batches until the CI on the target metric is tight enough.
-
-    ``mapper`` executes one batch of seeds (``None`` = serial in process;
-    pass :meth:`SweepPool.map` or :meth:`ParallelTrialRunner.map` to fan the
-    batch out -- results and the stopping point are bit-identical either
-    way).  ``stats_out``, when given, receives ``trials_executed`` and
-    ``stopped_early`` for reporting.  ``checkpoint`` (explicit or the ambient
-    policy's journal) is consulted per batch: completed seeds come from the
-    journal, fresh ones are journaled as each batch finishes -- and because
-    the stopping decision depends only on the (identical) per-seed results,
-    a resumed adaptive run converges at the same trial with the same output.
-    """
-    from repro.stats.confidence import relative_half_width  # scipy: import late
-
-    adaptive = adaptive.resolved("messages_total")
-    max_trials = adaptive.max_trials if adaptive.max_trials is not None else trials
-    if max_trials < 1:
-        raise ValueError("max_trials must be >= 1")
-    min_trials = min(adaptive.min_trials, max_trials)
-    metric = adaptive.metric
-    seeds = trial_seeds(base_seed, max_trials, label)
-    journal, journal_key = resolve_checkpoint(
-        checkpoint, checkpoint_key, run_one, base_seed, label
-    )
-    execute = (
-        (lambda block: mapper(run_one, block))
-        if mapper is not None
-        else (lambda block: [run_trial(run_one, s) for s in block])
-    )
-    kept: List[T] = []
-    values: List[float] = []
-    index = 0
-    converged = False
-    while index < max_trials and not converged:
-        upper = min_trials if index < min_trials else min(index + adaptive.batch_size, max_trials)
-        batch = seeds[index:upper]
-        outcomes = checkpointed_trials(batch, execute, journal, journal_key)
-        index = upper
-        for outcome in outcomes:
-            if keep is not None and not keep(outcome):
-                continue
-            kept.append(outcome)
-            value = getattr(outcome, metric)
-            if value is not None:
-                values.append(float(value))
-        if len(values) >= 2:
-            converged = relative_half_width(values, adaptive.confidence) <= adaptive.ci_tolerance
-    if stats_out is not None:
-        stats_out["trials_executed"] = index
-        stats_out["stopped_early"] = converged and index < max_trials
-    return kept
-
-
 def trial_seeds(base_seed: int, trials: int, label: str = "") -> List[int]:
     """Derive ``trials`` independent seeds from ``base_seed``.
 
@@ -279,8 +215,6 @@ def add_execution_arguments(
     drift apart.  ``checkpoint=False`` omits ``--checkpoint``/``--resume``
     for entry points with their own persistent store (``serve``).
     """
-    from repro.experiments.parallel import worker_count_argument  # late: avoids cycle
-
     parser.add_argument(
         "--workers",
         type=worker_count_argument,
@@ -320,16 +254,16 @@ def add_execution_arguments(
             default=None,
             metavar="PATH",
             help=(
-                "journal completed trials to this file (append-only JSONL, or "
-                "a persistent sqlite store for *.sqlite/*.db paths) so a "
-                "killed study can be resumed with --resume"
+                "record completed trials in this sqlite result store so a "
+                "killed study can be resumed with --resume (without --resume "
+                "an existing store at PATH is replaced)"
             ),
         )
         parser.add_argument(
             "--resume",
             action="store_true",
             help=(
-                "resume from the --checkpoint journal: completed (fingerprint, "
+                "resume from the --checkpoint store: completed (fingerprint, "
                 "seed) trials are skipped and the aggregate output is "
                 "bit-identical to an uninterrupted run"
             ),
@@ -352,11 +286,10 @@ def execution_from_args(args: Any) -> tuple:
 
     ``workers`` comes back resolved (``0`` -> one per CPU) or ``None`` when
     the flag was not given, so callers can distinguish "default" from an
-    explicit choice.  The policy (see :func:`execution_policy_from_args`) is
-    meant for :func:`repro.experiments.resilience.active_policy`.
+    explicit choice.  Workers and policy (see
+    :func:`execution_policy_from_args`) configure the entry point's
+    :class:`~repro.experiments.parallel.SweepPool`.
     """
-    from repro.experiments.parallel import resolve_worker_count  # late: avoids cycle
-
     workers = None
     if getattr(args, "workers", None) is not None:
         workers = resolve_worker_count(args.workers)
@@ -365,39 +298,60 @@ def execution_from_args(args: Any) -> tuple:
 
 def execution_policy_from_args(args: Any) -> Optional[ExecutionPolicy]:
     """Build the :class:`~repro.experiments.resilience.ExecutionPolicy` from
-    parsed flags; ``None`` when no resilience flag was given.
+    parsed flags; ``None`` when neither ``--trial-timeout`` nor ``--retries``
+    was given.
 
     ``--trial-timeout`` without an explicit ``--retries`` defaults to two
     retries (a lost worker's trial should be re-run, not just recorded as
-    lost); ``--resume`` requires ``--checkpoint`` to name the journal.
-    Without ``--resume`` an existing checkpoint file is replaced by a fresh
-    journal.
+    lost).
     """
     timeout = getattr(args, "trial_timeout", None)
     retries = getattr(args, "retries", None)
-    checkpoint_path = getattr(args, "checkpoint", None)
-    resume = bool(getattr(args, "resume", False))
-    if resume and checkpoint_path is None:
-        raise SystemExit("--resume requires --checkpoint (the journal to resume from)")
-    if timeout is None and retries is None and checkpoint_path is None:
+    if timeout is None and retries is None:
         return None
     if retries is None:
-        retries = 2 if timeout is not None else 0
-    journal = (
-        CheckpointJournal(
-            checkpoint_path,
-            resume=resume,
-            allow_stale=bool(getattr(args, "allow_stale_cache", False)),
-        )
-        if checkpoint_path is not None
-        else None
-    )
+        retries = 2
     try:
-        return ExecutionPolicy(
-            trial_timeout=timeout, retries=retries, checkpoint=journal
-        )
+        return ExecutionPolicy(trial_timeout=timeout, retries=retries)
     except ValueError as error:
         raise SystemExit(str(error)) from None
+
+
+@contextmanager
+def executor_from_args(
+    args: Any, workers: Optional[int], policy: Optional[ExecutionPolicy]
+) -> Iterator[SweepPool]:
+    """The one :class:`~repro.experiments.parallel.SweepPool` of an entry
+    point's run, with ``workers``, ``policy`` and the ``--checkpoint`` store.
+
+    ``--checkpoint PATH`` opens ``ResultStore(PATH, fresh=not --resume,
+    allow_stale=--allow-stale-cache)``: ``--resume`` keeps the store's
+    completed trials and requires ``--checkpoint``; without it an existing
+    store at the path is replaced.  A path that is not a sqlite store (e.g. a
+    JSONL journal, which must be converted with ``abe-repro migrate``) exits
+    with a one-line message and leaves the file untouched.  Pool and store
+    are closed on exit.
+    """
+    path = getattr(args, "checkpoint", None)
+    resume = bool(getattr(args, "resume", False))
+    if resume and path is None:
+        raise SystemExit("--resume requires --checkpoint (the store to resume from)")
+    store = None
+    if path is not None:
+        try:
+            store = ResultStore(
+                path,
+                fresh=not resume,
+                allow_stale=bool(getattr(args, "allow_stale_cache", False)),
+            )
+        except ValueError as error:
+            raise SystemExit(str(error)) from None
+    try:
+        with SweepPool(workers, policy=policy, store=store) as pool:
+            yield pool
+    finally:
+        if store is not None:
+            store.close()
 
 
 def adaptive_stopping_from_args(args: Any) -> Optional[AdaptiveStopping]:
@@ -441,119 +395,27 @@ def monte_carlo(
     pool: Optional[SweepPool] = None,
     adaptive: Optional[AdaptiveStopping] = None,
     stats_out: Optional[Dict[str, Any]] = None,
-    checkpoint: Optional[CheckpointJournal] = None,
-    checkpoint_key: Optional[str] = None,
 ) -> List[T]:
     """Run ``run_one(seed)`` for ``trials`` derived seeds and collect results.
 
-    Parameters
-    ----------
-    run_one:
-        Callable executing one trial for a given seed.
-    keep:
-        Optional filter; results for which it returns ``False`` are dropped
-        (used e.g. to exclude non-terminating ablation runs from means while
-        still counting them separately).
-    workers:
-        Worker processes to fan trials across (``None`` = one per CPU).  The
-        default of ``1`` runs serially in process.  Because each trial is a
-        pure function of its derived seed, the collected results are
-        bit-identical for every worker count.
-    pool:
-        Optional shared :class:`~repro.experiments.parallel.SweepPool`;
-        overrides ``workers`` and reuses the pool's long-lived workers
-        (``run_one`` must then be picklable).  Results stay bit-identical.
-    adaptive:
-        Optional :class:`AdaptiveStopping`; trials then run in fixed batches
-        and stop once the target metric's confidence interval is tight
-        enough.  ``trials`` becomes the default ``max_trials``.  Executed
-        trials and results stay bit-identical for every worker count.
-    stats_out:
-        Optional dict receiving ``trials_executed``/``stopped_early`` when
-        ``adaptive`` is used.
-    checkpoint / checkpoint_key:
-        Crash-safe resume: an explicit
-        :class:`~repro.experiments.resilience.CheckpointJournal` (or, when
-        ``None``, the ambient execution policy's journal) is consulted for
-        already-completed ``(checkpoint_key, seed)`` trials, and fresh
-        results are journaled as they complete.  The key defaults to a
-        fingerprint of the pickled ``run_one`` plus the seed family, so raw
-        callables checkpoint too; declarative runs pass their spec
-        fingerprint.  Results are bit-identical with or without a journal.
+    :meth:`SweepPool.monte_carlo <repro.experiments.parallel.SweepPool.monte_carlo>`
+    on ``pool`` (its policy and store apply), or on a pool of ``workers``
+    processes owned for this call (``None`` = one per CPU; the default ``1``
+    runs serially in process).  ``keep`` drops results after the ordered
+    gather; ``adaptive`` and ``stats_out`` select sequential stopping.
+    Because each trial is a pure function of its derived seed, the results
+    are bit-identical for every worker count.
     """
-    if adaptive is not None:
-        if pool is not None:
-            return pool.monte_carlo(
-                run_one,
-                trials=trials,
-                base_seed=base_seed,
-                label=label,
-                keep=keep,
-                adaptive=adaptive,
-                stats_out=stats_out,
-                checkpoint=checkpoint,
-                checkpoint_key=checkpoint_key,
-            )
-        if workers is not None and workers == 1:
-            return adaptive_monte_carlo(
-                run_one,
-                trials=trials,
-                adaptive=adaptive,
-                base_seed=base_seed,
-                label=label,
-                keep=keep,
-                stats_out=stats_out,
-                checkpoint=checkpoint,
-                checkpoint_key=checkpoint_key,
-            )
-        # workers > 1: one persistent fork pool for all convergence batches
-        # (ParallelTrialRunner.monte_carlo uses persistent_mapper), not a
-        # fresh pool per batch.
-        return ParallelTrialRunner(workers=workers).monte_carlo(
+    with SweepPool.ensure(pool, workers) as shared:
+        return shared.monte_carlo(
             run_one,
-            trials=trials,
+            trials,
             base_seed=base_seed,
             label=label,
             keep=keep,
             adaptive=adaptive,
             stats_out=stats_out,
-            checkpoint=checkpoint,
-            checkpoint_key=checkpoint_key,
         )
-    if pool is not None:
-        return pool.monte_carlo(
-            run_one,
-            trials=trials,
-            base_seed=base_seed,
-            label=label,
-            keep=keep,
-            checkpoint=checkpoint,
-            checkpoint_key=checkpoint_key,
-        )
-    if workers is not None and workers == 1:
-        journal, key = resolve_checkpoint(
-            checkpoint, checkpoint_key, run_one, base_seed, label
-        )
-        outcomes = checkpointed_trials(
-            trial_seeds(base_seed, trials, label),
-            lambda block: [run_trial(run_one, seed) for seed in block],
-            journal,
-            key,
-            record_batch=1,  # serial: journal after every trial
-        )
-        if keep is None:
-            return outcomes
-        return [outcome for outcome in outcomes if keep(outcome)]
-    runner = ParallelTrialRunner(workers=workers)
-    return runner.monte_carlo(
-        run_one,
-        trials=trials,
-        base_seed=base_seed,
-        label=label,
-        keep=keep,
-        checkpoint=checkpoint,
-        checkpoint_key=checkpoint_key,
-    )
 
 
 def mean_of_attribute(results: Sequence[Any], attribute: str) -> float:

@@ -152,12 +152,12 @@ def election_spec(
 class ElectionTrial:
     """Picklable ``run_one`` callable for election trials.
 
-    A plain closure over ``run_election`` cannot cross the boundary into a
-    long-lived :class:`~repro.experiments.parallel.SweepPool` worker (only
-    fork-inherited closures work, and those require a fresh pool per point).
-    This class carries the same captured configuration as explicit, picklable
-    state, so one pool can serve every parameter point of a sweep.  Calling it
-    is exactly ``run_election(n, a0=..., delay=..., seed=seed, **kwargs)``.
+    A closure over ``run_election`` cannot cross the process boundary into
+    the long-lived :class:`~repro.experiments.parallel.SweepPool` workers.
+    This class carries the same captured configuration as explicit,
+    picklable state, so one pool can serve every parameter point of a sweep.
+    Calling it is exactly ``run_election(n, a0=..., delay=..., seed=seed,
+    **kwargs)``.
     """
 
     __slots__ = ("n", "a0", "delay", "election_kwargs")
@@ -206,16 +206,13 @@ def election_trials(
     label = label or f"n{n}"
     if adaptive is not None:
         adaptive = adaptive.resolved("messages_total")
-    if pool is not None:
-        return pool.monte_carlo(
-            run_one, trials=trials, base_seed=base_seed, label=label, adaptive=adaptive
-        )
     return monte_carlo(
         run_one,
         trials=trials,
         base_seed=base_seed,
         label=label,
         workers=workers,
+        pool=pool,
         adaptive=adaptive,
     )
 

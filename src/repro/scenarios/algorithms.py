@@ -2,8 +2,7 @@
 
 Every entry of :data:`ALGORITHMS` compiles a
 :class:`~repro.scenarios.spec.ScenarioSpec` into a *picklable* trial callable
-``seed -> result``, so one compiled spec drives serial,
-:class:`~repro.experiments.parallel.ParallelTrialRunner` and
+``seed -> result``, so one compiled spec drives serial and pooled
 :class:`~repro.experiments.parallel.SweepPool` execution bit-identically.
 Compilation is where spec/algorithm compatibility is enforced: a ring
 algorithm rejects a grid topology at compile time, with the reason, instead

@@ -1,19 +1,17 @@
 """The single entry point from declarative specs to running simulations.
 
 :func:`run_scenario` compiles one :class:`~repro.scenarios.spec.ScenarioSpec`
-into the existing fast-path machinery
-(:func:`repro.core.runner.run_election`, :func:`~repro.experiments.runner.monte_carlo`,
-:class:`~repro.experiments.parallel.SweepPool`) and returns the trial
+into its trial callable and runs it on the one trial executor,
+:class:`~repro.experiments.parallel.SweepPool`, and returns the trial
 results.  The compiled trial, the derived seed list and the adaptive batch
 boundaries are exactly the ones the hand-threaded experiment code produced,
 so a spec that mirrors an experiment's parameters reproduces its results bit
 for bit -- locked by the pre-refactor goldens in ``tests/harness``.
 
 :func:`run_study` executes a :class:`~repro.scenarios.spec.StudySpec` -- an
-ordered battery of points -- sharing one worker pool across the whole
-battery.  One-shot batteries (each point a single deterministic evaluation,
-e.g. E4/E5) fan the *points* across the pool; Monte-Carlo batteries fan each
-point's *trials*.
+ordered battery of points -- point by point on one shared executor, so pool
+startup is paid once per study and every trial goes through the executor's
+policy and store.
 """
 
 from __future__ import annotations
@@ -22,10 +20,11 @@ from typing import Any, Dict, List, Optional
 
 from repro.scenarios.algorithms import ALGORITHMS, AlgorithmEntry
 from repro.scenarios.spec import ScenarioSpec, StudySpec
+from repro.store.fingerprint import spec_fingerprint
 
-# NOTE: ``repro.experiments`` imports this module, so the experiment-harness
-# pieces (monte_carlo, SweepPool, AdaptiveStopping) are imported lazily
-# inside the entry points to keep the import graph acyclic.
+# NOTE: ``repro.experiments`` imports this module, so the executor
+# (SweepPool) is imported lazily inside the entry points to keep the import
+# graph acyclic.
 
 __all__ = ["compile_trial", "run_scenario", "run_study"]
 
@@ -48,7 +47,6 @@ def run_scenario(
     workers: Optional[int] = None,
     adaptive: Optional[Any] = None,
     stats_out: Optional[Dict[str, Any]] = None,
-    checkpoint: Optional[Any] = None,
 ) -> List[Any]:
     """Run one scenario and return its (ordered) trial results.
 
@@ -56,95 +54,51 @@ def run_scenario(
     ----------
     pool:
         Optional shared :class:`~repro.experiments.parallel.SweepPool`; one
-        pool can serve every point of a study.  Results are bit-identical for
-        any pool/worker combination.
+        executor can serve every point of a study, and its policy and store
+        apply.  Trials are stored under ``(spec fingerprint, seed)`` -- the
+        fingerprint is content-derived from the spec minus its
+        execution-only fields, so a resumed study with a different worker
+        count still hits the store and produces bit-identical results.  A
+        spec that refuses a canonical fingerprint (an override whose repr
+        carries a memory address -- a per-process key that could never hit)
+        runs without the store.
     workers:
-        Worker processes when no pool is given (``None`` = the spec's
-        ``workers`` field; ``0`` = one per CPU).
+        Worker processes for a pool owned by this call when none is given
+        (``None`` = the spec's ``workers`` field; ``0`` = one per CPU).
     adaptive:
         Overrides the spec's ``stopping`` rule; an unpinned metric resolves
         to the algorithm's default target.
     stats_out:
         Receives ``trials_executed``/``stopped_early`` under adaptive
         stopping.
-    checkpoint:
-        Optional :class:`~repro.experiments.resilience.CheckpointJournal` or
-        :class:`~repro.store.ResultStore` (defaults to the ambient policy's
-        journal).  Trials are keyed by ``(spec fingerprint, seed)`` -- the
-        fingerprint is content-derived from the spec minus its
-        execution-only fields, so a resumed study with a different worker
-        count still hits the journal and produces bit-identical results.
-        A spec that refuses a canonical fingerprint (an override whose repr
-        carries a memory address -- a per-process key that could never hit)
-        runs unjournaled.
     """
-    from repro.experiments.resilience import JOURNAL_DISABLED, spec_fingerprint
-    from repro.experiments.runner import monte_carlo  # late: avoids cycle
+    from repro.experiments.parallel import SweepPool  # late: avoids cycle
 
     entry: AlgorithmEntry = ALGORITHMS.get(spec.algorithm)
     run_one = entry.build_trial(spec)
-    fingerprint = spec_fingerprint(spec)
-    if fingerprint is None:
-        # The spec layer's refusal is authoritative: never fall back to a
-        # callable fingerprint for a spec-described workload.
-        fingerprint = JOURNAL_DISABLED
-    if entry.one_shot:
-        if spec.trials != 1:
-            raise ValueError(
-                f"algorithm {spec.algorithm!r} is a one-shot evaluation; "
-                f"use one point per parameter value instead of trials={spec.trials}"
-            )
-        return _checkpointed_one_shot(spec, run_one, fingerprint, checkpoint)
-    rule = adaptive if adaptive is not None else spec.stopping
-    if rule is not None:
-        rule = rule.resolved(entry.metric)
-    if pool is not None:
-        return pool.monte_carlo(
+    if entry.one_shot and spec.trials != 1:
+        raise ValueError(
+            f"algorithm {spec.algorithm!r} is a one-shot evaluation; "
+            f"use one point per parameter value instead of trials={spec.trials}"
+        )
+    key = spec_fingerprint(spec)
+    worker_count = spec.workers if workers is None else workers
+    with SweepPool.ensure(pool, worker_count or None) as shared:  # 0 = one per CPU
+        if entry.one_shot:
+            # One deterministic evaluation, at the raw spec seed.
+            return shared.run_seeds(run_one, [spec.seed], key)
+        rule = adaptive if adaptive is not None else spec.stopping
+        if rule is not None:
+            rule = rule.resolved(entry.metric)
+        return shared.monte_carlo(
             run_one,
             trials=spec.trials,
             base_seed=spec.seed,
             label=spec.label,
             adaptive=rule,
             stats_out=stats_out,
-            checkpoint=checkpoint,
-            checkpoint_key=fingerprint,
+            key=key,
         )
-    worker_count: Optional[int] = spec.workers if workers is None else workers
-    if worker_count == 0:
-        worker_count = None  # monte_carlo's "one per CPU" convention
-    return monte_carlo(
-        run_one,
-        trials=spec.trials,
-        base_seed=spec.seed,
-        label=spec.label,
-        workers=worker_count,
-        adaptive=rule,
-        stats_out=stats_out,
-        checkpoint=checkpoint,
-        checkpoint_key=fingerprint,
-    )
-
-
-def _checkpointed_one_shot(
-    spec: ScenarioSpec, run_one: Any, fingerprint: Any, checkpoint: Optional[Any]
-) -> List[Any]:
-    """One-shot points consume the raw spec seed; journal them under it."""
-    from repro.experiments.resilience import checkpointed_trials, resolve_checkpoint
-
-    journal, key = resolve_checkpoint(checkpoint, fingerprint, run_one, spec.seed, spec.label)
-    return checkpointed_trials(
-        [spec.seed],
-        lambda block: [run_one(seed) for seed in block],
-        journal,
-        key,
-        record_batch=1,
-    )
-
-
-def _run_one_shot(spec: ScenarioSpec) -> Any:
-    """Top-level point runner (must be picklable for pool fan-out)."""
-    entry: AlgorithmEntry = ALGORITHMS.get(spec.algorithm)
-    return entry.build_trial(spec)(spec.seed)
 
 
 def run_study(
@@ -153,70 +107,19 @@ def run_study(
     pool: Optional[Any] = None,
     workers: Optional[int] = 1,
     adaptive: Optional[Any] = None,
-    checkpoint: Optional[Any] = None,
 ) -> List[List[Any]]:
     """Run every point of a study; per-point result lists in point order.
 
     One :class:`~repro.experiments.parallel.SweepPool` (the caller's, or a
     fresh one sized by ``workers``) serves the whole battery, so pool startup
     is paid once per study rather than once per point.  ``adaptive``
-    resolves its metric against the study's declared target.  ``checkpoint``
-    (explicit or the ambient policy's journal) keys every trial by its
-    point's spec fingerprint, so a killed study resumes exactly where it
-    stopped -- across points as well as within one.
+    resolves its metric against the study's declared target.  With a store
+    on the pool every trial is keyed by its point's spec fingerprint, so a
+    killed study resumes exactly where it stopped -- across points as well
+    as within one.
     """
     from repro.experiments.parallel import SweepPool  # late: avoids cycle
-    from repro.experiments.resilience import current_policy
 
-    journal = checkpoint
-    if journal is None:
-        policy = current_policy()
-        journal = policy.checkpoint if policy is not None else None
-    rule = adaptive
-    if rule is not None:
-        rule = rule.resolved(study.metric)
-    points = list(study.points)
-    entries = [ALGORITHMS.get(point.algorithm) for point in points]
+    rule = adaptive.resolved(study.metric) if adaptive is not None else None
     with SweepPool.ensure(pool, workers) as shared:
-        if all(entry.one_shot for entry in entries):
-            # One deterministic evaluation per point: fan the points
-            # themselves across the pool (the E4/E5 shape).
-            if journal is None:
-                return [[result] for result in shared.map(_run_one_shot, points)]
-            return _checkpointed_point_map(points, shared, journal)
-        return [
-            run_scenario(point, pool=shared, adaptive=rule, checkpoint=journal)
-            for point in points
-        ]
-
-
-def _checkpointed_point_map(
-    points: List[ScenarioSpec], shared: Any, journal: Any
-) -> List[List[Any]]:
-    """The one-shot study branch with a journal: run only the missing points.
-
-    Each point is keyed by ``(its own fingerprint, its seed)``, looked up
-    before dispatch, and the missing points are fanned out together (one
-    ``map``, preserving the no-journal dispatch shape) then journaled.
-    Failed placeholders are never journaled, so a resume re-attempts them;
-    points whose spec refuses a canonical fingerprint always run and are
-    never journaled.
-    """
-    from repro.experiments.resilience import TrialFailure, spec_fingerprint
-
-    keys = [spec_fingerprint(point) for point in points]
-    results: List[Any] = [None] * len(points)
-    missing: List[int] = []
-    for index, (point, key) in enumerate(zip(points, keys)):
-        cached = journal.lookup(key, [point.seed]) if key is not None else {}
-        if point.seed in cached:
-            results[index] = cached[point.seed]
-        else:
-            missing.append(index)
-    if missing:
-        fresh = shared.map(_run_one_shot, [points[index] for index in missing])
-        for index, result in zip(missing, fresh):
-            results[index] = result
-            if keys[index] is not None and not isinstance(result, TrialFailure):
-                journal.record(keys[index], points[index].seed, result)
-    return [[result] for result in results]
+        return [run_scenario(point, pool=shared, adaptive=rule) for point in study.points]

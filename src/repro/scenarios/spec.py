@@ -10,9 +10,9 @@ of plain values, so they
 * round-trip through JSON (:meth:`ScenarioSpec.to_dict` /
   :meth:`ScenarioSpec.from_dict`), which makes a spec a *file* -- see
   ``examples/scenarios/`` and the ``abe-repro scenario`` subcommand,
-* pickle across process boundaries, so the same spec object drives serial,
-  :class:`~repro.experiments.parallel.ParallelTrialRunner` and
-  :class:`~repro.experiments.parallel.SweepPool` execution bit-identically.
+* pickle across process boundaries, so the same spec object drives serial
+  and pooled :class:`~repro.experiments.parallel.SweepPool` execution
+  bit-identically.
 
 String ``kind`` fields (topology, delay, drift, schedule, faults, algorithm)
 are resolved against the registries in :mod:`repro.scenarios.registry`; the

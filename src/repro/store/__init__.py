@@ -1,6 +1,6 @@
 """Persistent, fingerprint-keyed result storage.
 
-The execution layer (:mod:`repro.experiments.resilience`) established the
+The execution layer (:mod:`repro.experiments.parallel`) established the
 contract that makes results cacheable at all: **a trial is a pure function of
 its derived seed**, and a :class:`~repro.scenarios.spec.ScenarioSpec` is a
 frozen, JSON-round-trippable description of the workload -- i.e. a
@@ -21,20 +21,16 @@ content-addressable key.  This package turns that contract into storage:
     mixed into aggregates.
 
 :mod:`repro.store.result_store`
-    :class:`ResultStore`: the sqlite-backed persistent store, keyed by
-    ``(key, seed, code_version)`` with O(1) appends.  It implements the same
-    ``lookup`` / ``record`` / ``record_many`` surface the PR 6 journal
-    exposed, so every Monte-Carlo resume path accepts it unchanged.
-
-:mod:`repro.store.journal`
-    :class:`CheckpointJournal`: the ``--checkpoint`` entry point, retained as
-    a thin adapter that picks its backend from the path suffix -- append-only
-    JSONL by default, the sqlite :class:`ResultStore` for ``*.sqlite`` /
-    ``*.db`` paths.
+    :class:`ResultStore`: the one store backend, sqlite, keyed by
+    ``(key, seed, code_version)`` with O(1) appends.  The trial executor
+    (:class:`~repro.experiments.parallel.SweepPool`) serves cached trials
+    from it and journals fresh ones into it; ``--checkpoint``, ``serve
+    --store`` and ``optimize --store`` all open one.
 
 :mod:`repro.store.migrate`
-    One-shot migration of PR 6 JSONL journals into a :class:`ResultStore`
-    (``abe-repro migrate``).
+    One-way conversion of the retired JSONL checkpoint journals into a
+    :class:`ResultStore` (``abe-repro migrate``; deprecated, to be removed
+    in a later release).
 
 :mod:`repro.store.service`
     :class:`StudyService` and the ``abe-repro serve`` job queue: spec
@@ -50,14 +46,10 @@ from repro.store.fingerprint import (
     spec_fingerprint,
     study_fingerprint,
 )
-from repro.store.journal import JOURNAL_DISABLED, CheckpointJournal, JsonlResultStore
 from repro.store.migrate import MigrationReport, migrate_journal
 from repro.store.result_store import ResultStore
 
 __all__ = [
-    "CheckpointJournal",
-    "JOURNAL_DISABLED",
-    "JsonlResultStore",
     "MigrationReport",
     "ResultStore",
     "callable_fingerprint",

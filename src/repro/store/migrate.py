@@ -1,4 +1,10 @@
-"""One-shot migration of JSONL checkpoint journals into a sqlite store.
+"""One-way migration of JSONL checkpoint journals into a sqlite store.
+
+``--checkpoint`` once wrote append-only JSONL journals; it now opens a
+:class:`~repro.store.result_store.ResultStore` only, and refuses a journal
+path with a message pointing here.  This converter (``abe-repro migrate``) is
+the documented path for old journals; it is deprecated and will be removed in
+a later release.
 
 PR 6 journals predate the code-version stamp, so their lines carry no
 ``version`` field.  Migration preserves what is actually known: version-less

@@ -38,6 +38,33 @@ __all__ = ["ResultStore"]
 #: sqlite bind-parameter budget per query (the historical hard limit is 999).
 _CHUNK = 500
 
+#: The first bytes of every sqlite 3 database file.
+_SQLITE_HEADER = b"SQLite format 3\x00"
+
+
+def _check_store_file(path: str) -> None:
+    """Refuse a file that is neither empty nor a sqlite database.
+
+    Runs before ``fresh`` removes anything and before sqlite connects, so a
+    mistyped path (above all an old JSONL checkpoint journal) is never
+    deleted or half-opened, and the error names the path.
+    """
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(len(_SQLITE_HEADER))
+    except FileNotFoundError:
+        return
+    if not head or head == _SQLITE_HEADER:
+        return
+    message = f"{path} is not a sqlite result store"
+    if head.lstrip().startswith(b"{"):
+        message += (
+            "; it looks like a JSONL checkpoint journal, which the store no "
+            f"longer reads: convert it with 'abe-repro migrate {path} --store "
+            "NEW.sqlite' and pass NEW.sqlite instead"
+        )
+    raise ValueError(message)
+
 
 def _stale_note(path: str, ignored: int, current: str) -> None:
     print(
@@ -51,15 +78,17 @@ def _stale_note(path: str, ignored: int, current: str) -> None:
 class ResultStore:
     """Persistent ``(key, seed, code_version)``-keyed trial-result store.
 
-    Implements the same ``lookup`` / ``record`` / ``record_many`` /
-    ``__len__`` / ``__contains__`` surface as the PR 6 journal, so every
-    Monte-Carlo resume path (``monte_carlo``, ``run_scenario``, ``run_study``,
-    ``SweepPool``) accepts a store wherever it accepted a journal.
+    The trial executor (:class:`~repro.experiments.parallel.SweepPool`)
+    talks to it through ``lookup`` / ``record_many``; ``__len__`` /
+    ``__contains__`` and the introspection methods serve reports and export.
 
     Parameters
     ----------
     path:
-        Database file location (created with parents if missing).
+        Database file location (created with parents if missing).  An
+        existing file must be empty or a sqlite database: anything else --
+        e.g. a JSONL journal -- raises ``ValueError`` naming the path and is
+        left untouched.
     fresh:
         ``True`` discards any existing content first (the ``--checkpoint``
         without ``--resume`` semantics); default keeps everything -- a store
@@ -82,6 +111,7 @@ class ResultStore:
         self.bytes_written = 0
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
+        _check_store_file(self.path)
         if fresh and os.path.exists(self.path):
             os.remove(self.path)
         self._conn = sqlite3.connect(self.path)

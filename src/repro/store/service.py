@@ -5,10 +5,10 @@
 or :class:`~repro.scenarios.spec.ScenarioSpec` JSON documents -- are
 submitted (from files on the command line, or from a watched spool
 directory), deduplicated by :func:`~repro.store.fingerprint.study_fingerprint`,
-and executed point by point against one shared
-:class:`~repro.experiments.parallel.SweepPool` under the PR 6 supervision
-layer (:func:`~repro.experiments.resilience.active_policy`).  Every trial is
-keyed into the service's :class:`~repro.store.result_store.ResultStore`, so
+and executed point by point on one shared
+:class:`~repro.experiments.parallel.SweepPool` that carries the service's
+execution policy and its :class:`~repro.store.result_store.ResultStore`.
+Every trial is keyed into that store, so
 a re-submitted experiment -- same process or next week -- is a cache hit:
 the second run of any study against a warm store performs zero trial
 compute and reproduces its aggregates byte for byte.
@@ -200,9 +200,8 @@ class StudyService:
         to every job, resolved per study against its declared metric.
     policy:
         Optional :class:`~repro.experiments.resilience.ExecutionPolicy`
-        installed around job execution (timeouts, retries, supervision).
-        The service stores results itself, so ``policy.checkpoint`` is
-        typically ``None``.
+        (timeouts, retries, supervision) for every trial the service runs,
+        one-shot points included.
     progress:
         ``callable(str)`` receiving incremental one-line progress messages.
     """
@@ -244,7 +243,7 @@ class StudyService:
         from repro.experiments.parallel import SweepPool  # late: heavy import
 
         if self._pool is None:
-            self._pool = SweepPool(self.workers)
+            self._pool = SweepPool(self.workers, policy=self.policy, store=self.store)
         return self._pool
 
     # -------------------------------------------------------------- submission
@@ -291,28 +290,25 @@ class StudyService:
 
     def run_pending(self) -> List[JobReport]:
         """Execute every queued job in submission order; returns the reports."""
-        from repro.experiments.resilience import active_policy
-
         reports: List[JobReport] = []
         queue, self._queue = self._queue, []
-        with active_policy(self.policy):
-            for job_id, study, source, fingerprint in queue:
-                if fingerprint is not None and fingerprint in self._completed:
-                    original = self._completed[fingerprint]
-                    reports.append(
-                        JobReport(
-                            job_id=original.job_id,
-                            name=study.name,
-                            source=source,
-                            status="duplicate",
-                            fingerprint=fingerprint,
-                            metric=study.metric,
-                            points=original.points,
-                            duplicate_of=original.job_id,
-                        )
+        for job_id, study, source, fingerprint in queue:
+            if fingerprint is not None and fingerprint in self._completed:
+                original = self._completed[fingerprint]
+                reports.append(
+                    JobReport(
+                        job_id=original.job_id,
+                        name=study.name,
+                        source=source,
+                        status="duplicate",
+                        fingerprint=fingerprint,
+                        metric=study.metric,
+                        points=original.points,
+                        duplicate_of=original.job_id,
                     )
-                    continue
-                reports.append(self._run_job(job_id, study, source, fingerprint))
+                )
+                continue
+            reports.append(self._run_job(job_id, study, source, fingerprint))
         return reports
 
     def _run_job(
@@ -351,7 +347,7 @@ class StudyService:
 
         hits_before, misses_before = self.store.hits, self.store.misses
         started = time.perf_counter()
-        results = run_scenario(point, pool=pool, adaptive=rule, checkpoint=self.store)
+        results = run_scenario(point, pool=pool, adaptive=rule)
         elapsed = time.perf_counter() - started
         hits = self.store.hits - hits_before
         misses = self.store.misses - misses_before

@@ -109,8 +109,8 @@ periodic_params = st.fixed_dictionaries(
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_parallel_trial_path_is_bit_identical(params, seed):
-    # The declarative path: the same churn spec through the serial runner and
-    # through ParallelTrialRunner workers must agree result-for-result.
+    # The declarative path: the same churn spec run serially and on two
+    # SweepPool workers must agree result-for-result.
     spec = ScenarioSpec(
         algorithm="abe-election",
         topology=SpecNode("uniring", {"n": N}),

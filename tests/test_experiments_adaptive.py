@@ -3,10 +3,10 @@
 The contract under test (see :class:`repro.experiments.runner.AdaptiveStopping`):
 trials run in fixed batches whose boundaries depend only on the configuration,
 the stopping rule is evaluated only at those boundaries, and the executed
-trial set is therefore bit-identical for serial execution, a
-:class:`~repro.experiments.parallel.ParallelTrialRunner` and a shared
-:class:`~repro.experiments.parallel.SweepPool` -- the property that lets the
-experiment suite adopt sequential stopping without giving up reproducibility.
+trial set is therefore bit-identical for serial execution and for any worker
+count of :class:`~repro.experiments.parallel.SweepPool` -- the property that
+lets the experiment suite adopt sequential stopping without giving up
+reproducibility.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runner import run_election
-from repro.experiments.parallel import ParallelTrialRunner, SweepPool, fork_available
-from repro.experiments.runner import (
-    AdaptiveStopping,
-    adaptive_monte_carlo,
-    monte_carlo,
-)
+from repro.experiments.parallel import SweepPool, fork_available
+from repro.experiments.runner import AdaptiveStopping, monte_carlo
 from repro.experiments.workloads import ElectionTrial, election_trials
 
 
@@ -96,7 +92,7 @@ class TestStoppingRule:
         # on them.  A tiny max_events forces non-elections.
         run_one = ElectionTrial(8, 0.3, None, {"max_events": 50})
         stats = {}
-        results = adaptive_monte_carlo(
+        results = monte_carlo(
             run_one,
             trials=6,
             adaptive=AdaptiveStopping(
@@ -133,7 +129,7 @@ class TestWorkerCountDeterminism:
 
     RULE = AdaptiveStopping(ci_tolerance=0.3, min_trials=4, batch_size=4)
 
-    def test_serial_vs_parallel_runner(self):
+    def test_serial_vs_owned_pool(self):
         serial = election_trials(12, 48, 9, adaptive=self.RULE)
         parallel = election_trials(12, 48, 9, adaptive=self.RULE, workers=4)
         assert serial == parallel
@@ -145,16 +141,23 @@ class TestWorkerCountDeterminism:
             pooled = election_trials(12, 48, 9, adaptive=self.RULE, pool=pool)
         assert serial == pooled
 
-    def test_parallel_runner_monte_carlo_entry_point(self):
+    def test_pool_monte_carlo_entry_point(self):
         run_one = _election_run_one()
-        serial = adaptive_monte_carlo(
-            run_one, trials=48, adaptive=self.RULE, base_seed=3
-        )
-        runner = ParallelTrialRunner(workers=4)
-        parallel = runner.monte_carlo(
-            run_one, trials=48, base_seed=3, adaptive=self.RULE
-        )
+        serial = monte_carlo(run_one, trials=48, adaptive=self.RULE, base_seed=3)
+        with SweepPool(4) as pool:
+            parallel = pool.monte_carlo(
+                run_one, trials=48, base_seed=3, adaptive=self.RULE
+            )
         assert serial == parallel
+
+    def test_each_adaptive_batch_is_one_map_on_the_pool(self):
+        rule = AdaptiveStopping(ci_tolerance=1e-9, min_trials=2, batch_size=2)
+        batches = []
+        with SweepPool(2) as pool:
+            pool_map = pool.map
+            pool.map = lambda fn, items: batches.append(len(items)) or pool_map(fn, items)
+            pool.monte_carlo(_election_run_one(), trials=8, base_seed=3, adaptive=rule)
+        assert batches == [2, 2, 2, 2]
 
 
 class TestExperimentIntegration:

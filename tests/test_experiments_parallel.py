@@ -1,4 +1,4 @@
-"""Determinism and behaviour of the parallel Monte-Carlo trial runner.
+"""Determinism and behaviour of parallel Monte-Carlo trial execution.
 
 The seed-derivation contract says trial ``i`` of base seed ``s`` always runs
 with ``derive_seed(s, "trial{i}")`` and each trial is a pure function of that
@@ -19,63 +19,86 @@ import sys
 
 import pytest
 
-from repro.experiments.parallel import (
-    ParallelTrialRunner,
-    default_worker_count,
-    fork_available,
-    parallel_map,
-)
+from repro.experiments.parallel import SweepPool, default_worker_count, fork_available
+from repro.experiments.resilience import ExecutionPolicy
 from repro.experiments.runner import mean_of_attribute, monte_carlo
 from repro.experiments.workloads import election_trials
 
 
-class TestParallelTrialRunner:
+# Module-level: a callable fanned over more than one worker must pickle.
+def square(x):
+    return x * x
+
+
+def mod_five(seed):
+    return seed % 5
+
+
+def mod_three(seed):
+    return seed % 3
+
+
+def scramble(seed):
+    return (seed * 7) % 101
+
+
+class TestSweepPoolMapping:
     def test_map_preserves_order(self):
-        runner = ParallelTrialRunner(workers=4)
-        assert runner.map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
+        with SweepPool(workers=4) as pool:
+            assert pool.map(square, range(20)) == [x * x for x in range(20)]
 
     def test_map_with_one_worker_is_serial(self):
-        runner = ParallelTrialRunner(workers=1)
-        assert runner.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+        # In process: even a closure works, nothing crosses a process boundary.
+        assert SweepPool(workers=1).map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
     def test_workers_none_uses_cpu_count(self):
-        runner = ParallelTrialRunner(workers=None)
-        assert runner.workers == default_worker_count()
+        assert SweepPool(workers=None).workers == default_worker_count()
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
-            ParallelTrialRunner(workers=0)
-        with pytest.raises(ValueError):
-            ParallelTrialRunner(workers=4, chunk_size=0)
-
-    def test_closures_cross_the_fork_boundary(self):
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        captured = {"offset": 100}
-        runner = ParallelTrialRunner(workers=2)
-        assert runner.map(lambda x: x + captured["offset"], [1, 2, 3]) == [101, 102, 103]
-
-    def test_parallel_map_convenience(self):
-        assert parallel_map(str, [1, 2], workers=2) == ["1", "2"]
+            SweepPool(workers=0)
 
     def test_monte_carlo_method_matches_function(self):
-        runner = ParallelTrialRunner(workers=2)
-        via_method = runner.monte_carlo(lambda seed: seed % 5, trials=10, base_seed=3)
-        via_function = monte_carlo(lambda seed: seed % 5, trials=10, base_seed=3)
+        with SweepPool(workers=2) as pool:
+            via_method = pool.monte_carlo(mod_five, trials=10, base_seed=3)
+        via_function = monte_carlo(mod_five, trials=10, base_seed=3)
         assert via_method == via_function
+
+
+@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
+class TestUnpicklableCallables:
+    """A closure cannot reach long-lived workers: the executor says so up
+    front, once, instead of dispatching (or retrying) every item."""
+
+    def test_pooled_map_rejects_a_lambda_before_dispatch(self):
+        with SweepPool(workers=2) as pool:
+            with pytest.raises(TypeError, match="module-level function") as info:
+                pool.map(lambda x: x, [1, 2, 3])
+            assert "<lambda>" in str(info.value) and "ElectionTrial" in str(info.value)
+            assert pool._pool is None  # nothing was forked for it
+
+    def test_policy_does_not_turn_it_into_retried_failures(self):
+        policy = ExecutionPolicy(retries=1)
+        with SweepPool(workers=2, policy=policy) as pool:
+            with pytest.raises(TypeError, match="cannot be sent to pool workers"):
+                pool.map(lambda x: x, [1, 2, 3])
+        assert policy.failures == []
+
+    def test_monte_carlo_of_a_closure_on_workers_names_the_fix(self):
+        offset = 100
+
+        def shifted(seed):
+            return seed + offset
+
+        with pytest.raises(TypeError, match="shifted.*module-level function"):
+            monte_carlo(shifted, trials=4, base_seed=1, workers=2)
 
 
 class TestMonteCarloWorkers:
     def test_keep_filter_applied_after_parallel_gather(self):
-        serial = monte_carlo(
-            lambda seed: seed % 3, trials=12, base_seed=1, keep=lambda v: v == 0
-        )
+        serial = monte_carlo(mod_three, trials=12, base_seed=1, keep=lambda v: v == 0)
         parallel = monte_carlo(
-            lambda seed: seed % 3,
-            trials=12,
-            base_seed=1,
-            keep=lambda v: v == 0,
-            workers=3,
+            mod_three, trials=12, base_seed=1, keep=lambda v: v == 0, workers=3
         )
         assert serial == parallel
         assert all(value == 0 for value in parallel)
@@ -87,10 +110,8 @@ class TestMonteCarloWorkers:
         )
 
     def test_workers_do_not_change_results(self):
-        serial = monte_carlo(lambda seed: (seed * 7) % 101, trials=16, base_seed=9)
-        fanned = monte_carlo(
-            lambda seed: (seed * 7) % 101, trials=16, base_seed=9, workers=4
-        )
+        serial = monte_carlo(scramble, trials=16, base_seed=9)
+        fanned = monte_carlo(scramble, trials=16, base_seed=9, workers=4)
         assert serial == fanned
 
 

@@ -46,7 +46,7 @@ class TestSweepPoolBasics:
             assert pool.map(square, range(6)) == [x * x for x in range(6)]
             assert pool._pool is first  # no re-fork between parameter points
 
-    def test_closed_pool_rejects_parallel_maps(self):
+    def test_closed_pool_rejects_pooled_maps(self):
         if not fork_available():
             pytest.skip("fork start method unavailable")
         pool = SweepPool(workers=2)
@@ -58,8 +58,6 @@ class TestSweepPoolBasics:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             SweepPool(workers=0)
-        with pytest.raises(ValueError):
-            SweepPool(workers=2, chunk_size=0)
 
     def test_monte_carlo_matches_serial_runner(self):
         serial = monte_carlo(square, trials=10, base_seed=3)

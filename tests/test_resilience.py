@@ -3,15 +3,16 @@
 Three layers under test:
 
 * :func:`repro.experiments.resilience.supervised_map` -- the supervised
-  fan-out primitive must survive SIGKILLed workers, hung trials and an
-  unusable pool, and the recovered results must be bit-identical to serial
-  execution (trials are pure functions of their seeds).
+  fan-out primitive behind ``SweepPool.map`` must survive SIGKILLed workers,
+  hung trials and an unusable pool, and the recovered results must be
+  bit-identical to serial execution (trials are pure functions of their
+  seeds).
 * The divergence watchdog -- ``Simulator.run(raise_on_limit=True)`` raises a
   catchable :class:`~repro.sim.engine.SimulationDiverged` for truncated runs,
   reachable from ``run_election`` and declaratively via ``on_budget``.
-* :class:`~repro.experiments.resilience.CheckpointJournal` -- crash-safe
-  resume must skip completed ``(key, seed)`` trials and reproduce aggregates
-  bit for bit, including through the ``abe-repro scenario`` CLI.
+* The executor's :class:`~repro.store.ResultStore` -- crash-safe resume must
+  skip completed ``(key, seed)`` trials and reproduce aggregates bit for
+  bit, including through the ``abe-repro scenario --checkpoint`` CLI.
 """
 
 from __future__ import annotations
@@ -28,24 +29,23 @@ import pytest
 from repro.core.runner import run_election
 from repro.experiments.parallel import SweepPool, fork_available
 from repro.experiments.resilience import (
-    CheckpointJournal,
     ExecutionPolicy,
     ForkPoolManager,
     TrialFailure,
-    active_policy,
+    supervised_map,
+)
+from repro.experiments.runner import AdaptiveStopping, monte_carlo, trial_seeds
+from repro.experiments.workloads import ElectionTrial
+from repro.network.delays import ExponentialDelay
+from repro.scenarios import ScenarioSpec, StudySpec, run_scenario, run_study
+from repro.sim import SimulationDiverged
+from repro.store import (
+    ResultStore,
     callable_fingerprint,
-    checkpointed_trials,
-    current_policy,
     decode_result,
     encode_result,
     spec_fingerprint,
-    supervised_map,
 )
-from repro.experiments.runner import adaptive_monte_carlo, monte_carlo, trial_seeds
-from repro.experiments.workloads import ElectionTrial
-from repro.network.delays import ExponentialDelay
-from repro.scenarios import ScenarioSpec, run_scenario
-from repro.sim import SimulationDiverged
 
 VICTIM = 7  # the seed whose first execution misbehaves in the chaos trials
 
@@ -125,13 +125,6 @@ class TestExecutionPolicy:
         assert ExecutionPolicy(trial_timeout=1.0).supervised
         assert ExecutionPolicy(retries=1).supervised
 
-    def test_active_policy_installs_and_restores(self):
-        policy = ExecutionPolicy(retries=1)
-        assert current_policy() is None
-        with active_policy(policy):
-            assert current_policy() is policy
-        assert current_policy() is None
-
 
 class TestChaosRecovery:
     """Worker loss, hangs and errors must not cost results or determinism."""
@@ -142,9 +135,8 @@ class TestChaosRecovery:
         items = list(range(12))
         fn = KillOnce(str(tmp_path / "killed"))
         policy = ExecutionPolicy(trial_timeout=2.0, retries=2, backoff_base=0.01)
-        with active_policy(policy):
-            with SweepPool(workers=3) as pool:
-                results = pool.map(fn, items)
+        with SweepPool(workers=3, policy=policy) as pool:
+            results = pool.map(fn, items)
         assert os.path.exists(str(tmp_path / "killed"))  # the kill really happened
         assert results == [x * x for x in items]  # bit-identical to serial
         assert policy.failures == []  # recovered, not recorded as failed
@@ -155,9 +147,8 @@ class TestChaosRecovery:
         items = list(range(10))
         fn = HangOnce(str(tmp_path / "hung"))
         policy = ExecutionPolicy(trial_timeout=1.0, retries=2, backoff_base=0.01)
-        with active_policy(policy):
-            with SweepPool(workers=2) as pool:
-                results = pool.map(fn, items)
+        with SweepPool(workers=2, policy=policy) as pool:
+            results = pool.map(fn, items)
         assert results == [x + 1 for x in items]
         assert policy.failures == []
 
@@ -166,9 +157,8 @@ class TestChaosRecovery:
             pytest.skip("fork start method unavailable")
         items = list(range(10))
         policy = ExecutionPolicy(retries=1, backoff_base=0.01)
-        with active_policy(policy):
-            with SweepPool(workers=2) as pool:
-                results = pool.map(fail_on_victim, items)
+        with SweepPool(workers=2, policy=policy) as pool:
+            results = pool.map(fail_on_victim, items)
         for x, result in zip(items, results):
             if x == VICTIM:
                 assert isinstance(result, TrialFailure)
@@ -210,8 +200,9 @@ class TestChaosRecovery:
         # --retries must mean the same thing at workers=1 as on a pool: the
         # failing trial becomes a TrialFailure, everything else completes.
         policy = ExecutionPolicy(retries=1)
-        with active_policy(policy):
-            results = monte_carlo(fail_on_victim, trials=10, base_seed=0, workers=1)
+        results = monte_carlo(
+            fail_on_victim, trials=10, base_seed=0, pool=SweepPool(1, policy=policy)
+        )
         failures = [r for r in results if isinstance(r, TrialFailure)]
         # fail_on_victim keys off the raw derived seeds; at least the
         # non-failing trials must have completed with real values.
@@ -229,8 +220,7 @@ class TestChaosRecovery:
             on_budget="raise",
         )
         policy = ExecutionPolicy(retries=1)
-        with active_policy(policy):
-            results = run_scenario(spec, workers=1)
+        results = run_scenario(spec, pool=SweepPool(1, policy=policy))
         assert len(results) == 2
         assert all(isinstance(r, TrialFailure) for r in results)
         assert all(f.error_type == "SimulationDiverged" for f in policy.failures)
@@ -330,62 +320,82 @@ class TestResultCodec:
             encode_result({1: "non-string key"})
 
 
-class TestCheckpointJournal:
+class TestCheckpointStore:
+    """The executor's store: keyed trials are served, fresh ones recorded."""
+
     def test_record_and_lookup_round_trip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
+        path = tmp_path / "checkpoint.sqlite"
         result = run_election(6, seed=1)
-        assert journal.record("key", 123, result)
-        assert not journal.record("key", 123, result)  # idempotent
-        resumed = CheckpointJournal(path, resume=True)
-        assert len(resumed) == 1
-        assert resumed.lookup("key", [123])[123] == result
-        assert resumed.lookup("other-key", [123]) == {}
+        with ResultStore(path, fresh=True) as store:
+            assert store.record("key", 123, result)
+            assert not store.record("key", 123, result)  # idempotent
+        with ResultStore(path) as resumed:
+            assert len(resumed) == 1
+            assert resumed.lookup("key", [123])[123] == result
+            assert resumed.lookup("other-key", [123]) == {}
 
-    def test_fresh_journal_truncates_existing_file(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        CheckpointJournal(path).record("key", 1, 42)
-        fresh = CheckpointJournal(path, resume=False)
-        assert len(fresh) == 0
-        assert CheckpointJournal(path, resume=True).lookup("key", [1]) == {}
+    def test_fresh_store_discards_existing_trials(self, tmp_path):
+        path = tmp_path / "checkpoint.sqlite"
+        with ResultStore(path, fresh=True) as store:
+            store.record("key", 1, 42)
+        with ResultStore(path, fresh=True) as fresh:
+            assert len(fresh) == 0
+        with ResultStore(path) as resumed:
+            assert resumed.lookup("key", [1]) == {}
 
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
-        journal.record("key", 1, 10)
-        journal.record("key", 2, 20)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "key", "seed": 3, "resu')  # torn write
-        resumed = CheckpointJournal(path, resume=True)
-        assert resumed.lookup("key", [1, 2, 3]) == {1: 10, 2: 20}
+    def test_run_seeds_executes_only_missing_seeds(self, tmp_path):
+        with ResultStore(tmp_path / "checkpoint.sqlite") as store:
+            store.record_many("key", [(10, 100), (12, 144)])
+            executed = []
 
-    def test_checkpointed_trials_executes_only_missing_seeds(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        seeds = [10, 11, 12, 13]
-        journal.record_many("key", [(10, 100), (12, 144)])
-        executed = []
+            def counting_square(seed):
+                executed.append(seed)
+                return seed * seed
 
-        def execute(block):
-            executed.extend(block)
-            return [seed * seed for seed in block]
-
-        results = checkpointed_trials(seeds, execute, journal, "key")
-        assert results == [100, 121, 144, 169]
-        assert executed == [11, 13]  # cached seeds were never re-run
+            results = SweepPool(store=store).run_seeds(counting_square, [10, 11, 12, 13], "key")
+            assert results == [100, 121, 144, 169]
+            assert executed == [11, 13]  # cached seeds were never re-run
+            assert ("key", 11) in store and ("key", 13) in store
 
     def test_failures_are_returned_but_never_journaled(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
         failure = TrialFailure(
             seed=11, item="11", attempts=1, kind="error", error_type="E", message=""
         )
 
-        def execute(block):
-            return [failure if seed == 11 else seed for seed in block]
+        def fails_at_eleven(seed):
+            return failure if seed == 11 else seed
 
-        results = checkpointed_trials([10, 11], execute, journal, "key")
-        assert results == [10, failure]
-        assert ("key", 10) in journal
-        assert ("key", 11) not in journal  # a resume re-attempts it
+        with ResultStore(tmp_path / "checkpoint.sqlite") as store:
+            results = SweepPool(store=store).run_seeds(fails_at_eleven, [10, 11], "key")
+            assert results == [10, failure]
+            assert ("key", 10) in store
+            assert ("key", 11) not in store  # a resume re-attempts it
+
+    def test_unkeyed_trials_bypass_the_store(self, tmp_path):
+        with ResultStore(tmp_path / "checkpoint.sqlite") as store:
+            pool = SweepPool(store=store)
+            assert pool.run_seeds(abs, [-3, 4]) == [3, 4]
+            assert len(store) == 0 and store.hits + store.misses == 0
+
+    def test_serial_pool_journals_after_every_trial(self, tmp_path):
+        with ResultStore(tmp_path / "checkpoint.sqlite") as store:
+            batches = []
+            record_many = store.record_many
+            store.record_many = lambda key, pairs: batches.append(len(pairs)) or record_many(key, pairs)
+            SweepPool(1, store=store).monte_carlo(abs, trials=5, key="k")
+            assert batches == [1, 1, 1, 1, 1]
+
+    def test_pooled_executor_journals_in_worker_sized_blocks(self, tmp_path):
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+        with ResultStore(tmp_path / "checkpoint.sqlite") as store:
+            batches = []
+            record_many = store.record_many
+            store.record_many = lambda key, pairs: batches.append(len(pairs)) or record_many(key, pairs)
+            with SweepPool(2, store=store) as pool:
+                results = pool.monte_carlo(abs, trials=40, key="k")
+            assert batches == [16, 16, 8]  # max(16, 4 * workers) per block
+            assert results == [abs(seed) for seed in trial_seeds(0, 40)]
 
 
 class TestFingerprints:
@@ -416,12 +426,10 @@ class TestFingerprints:
 
 class TestMonteCarloResume:
     def test_resumed_monte_carlo_skips_all_completed_trials(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "checkpoint.sqlite"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        first = monte_carlo(
-            trial, trials=4, base_seed=9, checkpoint=CheckpointJournal(path),
-            checkpoint_key="point",
-        )
+        with ResultStore(path, fresh=True) as store:
+            first = SweepPool(store=store).monte_carlo(trial, trials=4, base_seed=9, key="point")
 
         calls = []
 
@@ -429,72 +437,58 @@ class TestMonteCarloResume:
             calls.append(seed)
             raise AssertionError("resume must not re-run completed trials")
 
-        resumed = monte_carlo(
-            bomb, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
-        )
+        with ResultStore(path) as store:
+            resumed = SweepPool(store=store).monte_carlo(bomb, trials=4, base_seed=9, key="point")
         assert calls == []
         assert resumed == first  # bit-identical aggregates
 
     def test_partial_resume_runs_only_missing_seeds(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
         seeds = trial_seeds(9, 4)
-        journal.record_many("point", [(seeds[0], trial(seeds[0])), (seeds[2], trial(seeds[2]))])
-
         executed = []
 
         def counting(seed):
             executed.append(seed)
             return trial(seed)
 
-        results = monte_carlo(
-            counting, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
-        )
+        with ResultStore(tmp_path / "checkpoint.sqlite") as store:
+            store.record_many("point", [(seeds[0], trial(seeds[0])), (seeds[2], trial(seeds[2]))])
+            results = SweepPool(store=store).monte_carlo(counting, trials=4, base_seed=9, key="point")
         assert sorted(executed) == sorted([seeds[1], seeds[3]])
         assert results == [trial(seed) for seed in seeds]
 
-    def test_adaptive_monte_carlo_resumes_bit_identically(self, tmp_path):
-        from repro.experiments.runner import AdaptiveStopping
-
-        path = tmp_path / "journal.jsonl"
+    def test_adaptive_run_resumes_bit_identically(self, tmp_path):
+        path = tmp_path / "checkpoint.sqlite"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
         rule = AdaptiveStopping(
             ci_tolerance=0.5, min_trials=2, batch_size=2, metric="messages_total"
         )
-        first = adaptive_monte_carlo(
-            trial, trials=6, adaptive=rule, base_seed=9,
-            checkpoint=CheckpointJournal(path), checkpoint_key="point",
-        )
+        with ResultStore(path, fresh=True) as store:
+            first = SweepPool(store=store).monte_carlo(
+                trial, trials=6, adaptive=rule, base_seed=9, key="point"
+            )
         calls = []
 
         def bomb(seed):
             calls.append(seed)
             raise AssertionError("resume must not re-run completed trials")
 
-        resumed = adaptive_monte_carlo(
-            bomb, trials=6, adaptive=rule, base_seed=9,
-            checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
-        )
+        with ResultStore(path) as store:
+            resumed = SweepPool(store=store).monte_carlo(
+                bomb, trials=6, adaptive=rule, base_seed=9, key="point"
+            )
         assert calls == []
         assert resumed == first
 
     def test_pooled_resume_matches_serial_journal(self, tmp_path):
         if not fork_available():
             pytest.skip("fork start method unavailable")
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "checkpoint.sqlite"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        serial = monte_carlo(
-            trial, trials=4, base_seed=9, checkpoint=CheckpointJournal(path),
-            checkpoint_key="point",
-        )
-        with SweepPool(workers=2) as pool:
-            pooled = pool.monte_carlo(
-                trial, trials=4, base_seed=9,
-                checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
-            )
+        with ResultStore(path, fresh=True) as store:
+            serial = SweepPool(store=store).monte_carlo(trial, trials=4, base_seed=9, key="point")
+        with ResultStore(path) as store, SweepPool(workers=2, store=store) as pool:
+            pooled = pool.monte_carlo(trial, trials=4, base_seed=9, key="point")
         assert pooled == serial
 
 
@@ -509,22 +503,24 @@ class TestScenarioCheckpointing:
         )
 
     def test_run_scenario_resumes_bit_identically(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        first = run_scenario(self._spec(), workers=1, checkpoint=CheckpointJournal(path))
-        assert len(CheckpointJournal(path, resume=True)) == 3
-        resumed = run_scenario(
-            self._spec(), workers=1, checkpoint=CheckpointJournal(path, resume=True)
-        )
+        path = tmp_path / "checkpoint.sqlite"
+        with ResultStore(path, fresh=True) as store:
+            first = run_scenario(self._spec(), pool=SweepPool(store=store))
+        with ResultStore(path) as store:
+            assert len(store) == 3
+            resumed = run_scenario(self._spec(), pool=SweepPool(store=store))
+            assert store.hits == 3 and store.misses == 0
         assert resumed == first
 
-    def test_ambient_policy_journal_is_consulted(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        policy = ExecutionPolicy(checkpoint=CheckpointJournal(path))
-        with active_policy(policy):
-            first = run_scenario(self._spec(), workers=1)
-        resume_policy = ExecutionPolicy(checkpoint=CheckpointJournal(path, resume=True))
-        with active_policy(resume_policy):
-            resumed = run_scenario(self._spec(), workers=1)
+    def test_run_study_consults_the_executor_store(self, tmp_path):
+        path = tmp_path / "checkpoint.sqlite"
+        study = StudySpec(name="resume", points=(self._spec(), self._spec().replace(seed=6)))
+        with ResultStore(path, fresh=True) as store:
+            first = run_study(study, pool=SweepPool(store=store))
+            assert len(store) == 6
+        with ResultStore(path) as store:
+            resumed = run_study(study, pool=SweepPool(store=store))
+            assert store.hits == 6 and store.misses == 0
         assert resumed == first
 
 
@@ -537,22 +533,23 @@ class TestCLIResilienceFlags:
                 "experiment", "e4",
                 "--trial-timeout", "30",
                 "--retries", "1",
-                "--checkpoint", "journal.jsonl",
+                "--checkpoint", "study.sqlite",
             ]
         )
         assert args.trial_timeout == 30.0
         assert args.retries == 1
-        assert args.checkpoint == "journal.jsonl"
+        assert args.checkpoint == "study.sqlite"
         assert args.resume is False
 
     def test_resume_without_checkpoint_rejected(self, tmp_path):
-        from repro.experiments.runner import execution_policy_from_args
+        from repro.experiments.runner import executor_from_args
 
         args = type("Args", (), {
             "trial_timeout": None, "retries": None, "checkpoint": None, "resume": True,
         })()
-        with pytest.raises(SystemExit):
-            execution_policy_from_args(args)
+        with pytest.raises(SystemExit, match="--resume requires --checkpoint"):
+            with executor_from_args(args, 1, None):
+                pass
 
     def test_scenario_checkpoint_then_resume_byte_identical_output(self, tmp_path, capsys):
         from repro.cli import main
@@ -565,14 +562,15 @@ class TestCLIResilienceFlags:
             "trials": 2,
             "label": "cli-resume",
         }))
-        journal_path = tmp_path / "journal.jsonl"
+        store_path = tmp_path / "study.sqlite"
 
-        assert main(["scenario", str(spec_path), "--checkpoint", str(journal_path)]) == 0
+        assert main(["scenario", str(spec_path), "--checkpoint", str(store_path)]) == 0
         first = capsys.readouterr().out
-        assert len(CheckpointJournal(journal_path, resume=True)) == 2
+        with ResultStore(store_path) as store:
+            assert len(store) == 2
 
         assert main([
-            "scenario", str(spec_path), "--checkpoint", str(journal_path), "--resume"
+            "scenario", str(spec_path), "--checkpoint", str(store_path), "--resume"
         ]) == 0
         resumed = capsys.readouterr().out
-        assert resumed == first  # byte-identical report from the journal
+        assert resumed == first  # byte-identical report from the store

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.churn_election import ChurnElectionResult
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.resilience import spec_fingerprint
+from repro.store import spec_fingerprint
 from repro.network.adversary import MaxDelayAdversary, TargetedSlowdownAdversary
 from repro.network.churn import CrashEvent, FaultScript, PeriodicChurn
 from repro.scenarios.registry import CHURN, CHURN_EVENTS, DELAYS, build_churn, build_delay

@@ -1,4 +1,4 @@
-"""The persistent result store: fingerprints, version gating, O(N) appends.
+"""The persistent result store: fingerprints, version gating, safe opening.
 
 Four properties under test, each of which PR 6's journal got wrong or
 lacked:
@@ -12,33 +12,31 @@ lacked:
   ``code_version`` are ignored (with a stderr note) so a behaviour-changing
   upgrade forces re-runs instead of mixing stale results into aggregates;
   ``allow_stale`` is the explicit escape hatch.
-* **True O(N) journaling** -- ``record``/``record_many`` append exactly the
-  new lines (no whole-file rewrite), so journaling N trials writes O(N)
-  total bytes.
-* **Load robustness + migration** -- torn tails, duplicate ``(key, seed)``
-  lines and foreign lines mid-file are tolerated line by line, and a JSONL
-  journal migrated into sqlite resumes byte-identically.
+* **Safe opening** -- a path that is neither empty nor a sqlite database
+  (above all an old JSONL journal) is refused with an error naming it, and
+  is never deleted, even by a fresh (``--checkpoint`` without ``--resume``)
+  open.
+* **Migration** -- an old JSONL journal migrated into sqlite resumes
+  byte-identically, torn lines skipped.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 
 import pytest
 
 import repro.store.fingerprint as fingerprint_module
-from repro.experiments.resilience import CheckpointJournal
-from repro.experiments.runner import monte_carlo, trial_seeds
+from repro.experiments.parallel import SweepPool
+from repro.experiments.runner import trial_seeds
 from repro.experiments.workloads import ElectionTrial
 from repro.network.delays import ExponentialDelay
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.store import (
-    JsonlResultStore,
     ResultStore,
     code_version,
+    encode_result,
     migrate_journal,
     spec_fingerprint,
     study_fingerprint,
@@ -99,10 +97,11 @@ class TestSpecFingerprint:
             params={"delay": AddressDelay(mean=1.0)},
         )
         assert spec_fingerprint(spec) is None
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        results = run_scenario(spec, checkpoint=journal)
-        assert len(results) == 2  # the scenario still runs...
-        assert len(journal) == 0  # ...but nothing is cached under a bad key
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            results = run_scenario(spec, pool=SweepPool(store=store))
+            assert len(results) == 2  # the scenario still runs...
+            assert len(store) == 0  # ...but nothing is cached under a bad key
+            assert store.hits + store.misses == 0  # nor looked up
 
     def test_study_fingerprint_keys_metric_and_points(self):
         points = (ScenarioSpec(trials=2, label="a"), ScenarioSpec(trials=3, label="b"))
@@ -139,160 +138,121 @@ class TestCodeVersion:
 # ============================================================= version gating
 
 
-@pytest.mark.parametrize("filename", ["journal.jsonl", "store.sqlite"])
 class TestVersionGating:
-    def test_version_bump_forces_reruns(self, tmp_path, monkeypatch, capsys, filename):
-        path = tmp_path / filename
-        journal = CheckpointJournal(path)
-        journal.record("key", 1, {"metric": 1.5})
-        assert journal.lookup("key", [1]) == {1: {"metric": 1.5}}
+    def test_version_bump_forces_reruns(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "store.sqlite"
+        store = ResultStore(path, fresh=True)
+        store.record("key", 1, {"metric": 1.5})
+        assert store.lookup("key", [1]) == {1: {"metric": 1.5}}
 
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
         )
-        upgraded = CheckpointJournal(path, resume=True)
+        upgraded = ResultStore(path)
         capsys.readouterr()  # drop load-time output; the note is checked below
         assert upgraded.lookup("key", [1]) == {}  # stale entry ignored -> re-run
         assert ("key", 1) not in upgraded
         assert upgraded.stale_ignored == 1
 
-    def test_stale_entries_are_noted_on_stderr(self, tmp_path, monkeypatch, capsys, filename):
-        path = tmp_path / filename
-        CheckpointJournal(path).record("key", 1, {"metric": 1.5})
+    def test_stale_entries_are_noted_on_stderr(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "store.sqlite"
+        ResultStore(path, fresh=True).record("key", 1, {"metric": 1.5})
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
         )
-        CheckpointJournal(path, resume=True)
+        ResultStore(path)
         err = capsys.readouterr().err
         assert "different code version" in err
         assert "--allow-stale-cache" in err
 
-    def test_allow_stale_escape_hatch_serves_old_entries(self, tmp_path, monkeypatch, filename):
-        path = tmp_path / filename
-        CheckpointJournal(path).record("key", 1, {"metric": 1.5})
+    def test_allow_stale_escape_hatch_serves_old_entries(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.sqlite"
+        ResultStore(path, fresh=True).record("key", 1, {"metric": 1.5})
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
         )
-        stale_ok = CheckpointJournal(path, resume=True, allow_stale=True)
+        stale_ok = ResultStore(path, allow_stale=True)
         assert stale_ok.lookup("key", [1]) == {1: {"metric": 1.5}}
 
-    def test_rerun_re_records_under_the_current_version(self, tmp_path, monkeypatch, filename):
-        path = tmp_path / filename
-        CheckpointJournal(path).record("key", 1, {"metric": 1.5})
+    def test_rerun_re_records_under_the_current_version(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.sqlite"
+        ResultStore(path, fresh=True).record("key", 1, {"metric": 1.5})
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
         )
-        upgraded = CheckpointJournal(path, resume=True)
+        upgraded = ResultStore(path)
         assert upgraded.record("key", 1, {"metric": 2.5})  # the forced re-run
-        fresh = CheckpointJournal(path, resume=True)
+        fresh = ResultStore(path)
         assert fresh.lookup("key", [1]) == {1: {"metric": 2.5}}
 
 
 class TestAllowStaleCLIWiring:
-    def test_flag_threads_into_the_policy_journal(self, tmp_path):
+    def test_flag_threads_into_the_checkpoint_store(self, tmp_path):
         from repro.cli import build_parser
-        from repro.experiments.runner import execution_policy_from_args
+        from repro.experiments.runner import executor_from_args
 
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "store.sqlite"
         args = build_parser().parse_args(
             ["scenario", "spec.json", "--checkpoint", str(path), "--allow-stale-cache"]
         )
-        policy = execution_policy_from_args(args)
-        assert policy.checkpoint.allow_stale is True
+        with executor_from_args(args, 1, None) as pool:
+            assert pool.store.allow_stale is True
         args = build_parser().parse_args(
             ["scenario", "spec.json", "--checkpoint", str(path)]
         )
-        assert execution_policy_from_args(args).checkpoint.allow_stale is False
+        with executor_from_args(args, 1, None) as pool:
+            assert pool.store.allow_stale is False
 
 
-# ============================================================== append-only IO
+# ============================================================ opening a path
 
 
-class TestAppendOnlyJournal:
-    def test_records_never_rewrite_the_file(self, tmp_path, monkeypatch):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-
-        def forbid(*args, **kwargs):
-            raise AssertionError("record must append, not rewrite the whole file")
-
-        # The PR 6 implementation funnelled every record through a tmp-file
-        # rewrite + os.replace; append-only recording never needs either.
-        monkeypatch.setattr(os, "replace", forbid)
-        deltas = []
-        size = 0
-        for seed in range(48):
-            journal.record("key", seed, {"metric": float(seed)})
-            new_size = os.path.getsize(journal.path)
-            deltas.append(new_size - size)
-            size = new_size
-        # O(N) total bytes: the file grew by exactly the appended lines...
-        assert journal.bytes_written == size
-        # ...and each record's cost is O(1) -- independent of journal length
-        # (under the old rewrite scheme the last delta would be ~48x the
-        # first's write volume).
-        assert max(deltas) <= 2 * min(deltas)
-
-    def test_record_many_appends_one_batch(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        pairs = [(seed, {"metric": float(seed)}) for seed in range(10)]
-        assert journal.record_many("key", pairs) == 10
-        assert journal.record_many("key", pairs) == 0  # idempotent
-        with open(journal.path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        assert len(lines) == 10
-        assert all(json.loads(line)["version"] == code_version() for line in lines)
-
-    def test_fresh_start_truncates(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        CheckpointJournal(path).record("key", 1, {"metric": 1.0})
-        fresh = CheckpointJournal(path)  # resume=False
-        assert len(fresh) == 0
-        assert os.path.getsize(path) == 0
+JOURNAL_LINE = '{"key": "k", "result": {"m": 1.0}, "seed": 1, "version": "1.0.0"}\n'
 
 
-class TestJournalLoadEdgeCases:
-    def _lines(self, path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.readlines()
+class TestStorePathValidation:
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_jsonl_journal_is_refused_and_left_byte_identical(self, tmp_path, fresh):
+        journal = tmp_path / "study.jsonl"
+        journal.write_text(JOURNAL_LINE * 3)
+        before = journal.read_bytes()
+        with pytest.raises(ValueError) as info:
+            ResultStore(journal, fresh=fresh)
+        message = str(info.value)
+        assert str(journal) in message and "abe-repro migrate" in message
+        assert journal.read_bytes() == before  # never removed, never touched
 
-    def test_torn_tail_is_skipped(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
-        journal.record_many("key", [(1, {"m": 1.0}), (2, {"m": 2.0})])
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "key", "seed": 3, "result"')  # crash mid-append
-        resumed = CheckpointJournal(path, resume=True)
-        assert resumed.lookup("key", [1, 2, 3]) == {1: {"m": 1.0}, 2: {"m": 2.0}}
-        assert resumed.backend.skipped_lines == 1
+    def test_garbage_file_is_refused_with_its_path(self, tmp_path):
+        garbage = tmp_path / "notes.db"
+        garbage.write_bytes(b"\x00\x01 not a database at all")
+        with pytest.raises(ValueError, match="is not a sqlite result store"):
+            ResultStore(garbage, fresh=True)
+        assert garbage.read_bytes() == b"\x00\x01 not a database at all"
 
-    def test_foreign_line_mid_file_loses_only_itself(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
-        journal.record("key", 1, {"m": 1.0})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("-- operator scribble, not JSON --\n")
-            handle.write(json.dumps({"unrelated": "document"}) + "\n")
-        CheckpointJournal(path, resume=True).record("key", 2, {"m": 2.0})
-        resumed = CheckpointJournal(path, resume=True)
-        # Entries on *both* sides of the damage survive (the PR 6 loader
-        # stopped at the first bad line, silently dropping everything after).
-        assert resumed.lookup("key", [1, 2]) == {1: {"m": 1.0}, 2: {"m": 2.0}}
-        assert resumed.backend.skipped_lines == 2
+    def test_empty_file_opens_as_a_new_store(self, tmp_path):
+        empty = tmp_path / "empty.sqlite"
+        empty.write_bytes(b"")
+        with ResultStore(empty) as store:
+            assert len(store) == 0
+            assert store.record("key", 1, {"m": 1.0})
+        with ResultStore(empty) as reopened:
+            assert reopened.lookup("key", [1]) == {1: {"m": 1.0}}
 
-    def test_duplicate_key_seed_lines_last_wins(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        version = code_version()
-        with open(path, "w", encoding="utf-8") as handle:
-            for value in (1.0, 2.0, 3.0):
-                handle.write(
-                    json.dumps(
-                        {"key": "key", "seed": 7, "result": {"m": value}, "version": version}
-                    )
-                    + "\n"
-                )
-        resumed = CheckpointJournal(path, resume=True)
-        assert len(resumed) == 1
-        assert resumed.lookup("key", [7]) == {7: {"m": 3.0}}
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_checkpoint_flag_on_a_journal_exits_in_one_line(self, tmp_path, resume):
+        from repro.cli import main
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"algorithm": "abe-election", "trials": 1}))
+        journal = tmp_path / "study.jsonl"
+        journal.write_text(JOURNAL_LINE)
+        before = journal.read_bytes()
+        argv = ["scenario", str(spec_path), "--checkpoint", str(journal)]
+        with pytest.raises(SystemExit) as info:
+            main(argv + (["--resume"] if resume else []))
+        message = str(info.value.code)
+        assert "\n" not in message and "abe-repro migrate" in message
+        assert journal.read_bytes() == before
 
 
 # ================================================================ sqlite store
@@ -333,27 +293,17 @@ class TestResultStore:
             assert store.record_many("vector", [(7, result)]) == 1
             assert store.lookup("vector", [7]) == {7: result}
 
-    def test_checkpoint_journal_dispatches_on_suffix(self, tmp_path):
-        assert CheckpointJournal(tmp_path / "a.jsonl").kind == "jsonl"
-        assert CheckpointJournal(tmp_path / "b.sqlite").kind == "sqlite"
-        assert CheckpointJournal(tmp_path / "c.db").kind == "sqlite"
-        assert isinstance(CheckpointJournal(tmp_path / "d.sqlite3").backend, ResultStore)
-
     def test_monte_carlo_resumes_from_sqlite_checkpoint(self, tmp_path):
         path = tmp_path / "checkpoint.sqlite"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        first = monte_carlo(
-            trial, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(path), checkpoint_key="point",
-        )
+        with ResultStore(path, fresh=True) as store:
+            first = SweepPool(store=store).monte_carlo(trial, trials=4, base_seed=9, key="point")
 
         def bomb(seed):
             raise AssertionError("resume must not re-run completed trials")
 
-        resumed = monte_carlo(
-            bomb, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
-        )
+        with ResultStore(path) as store:
+            resumed = SweepPool(store=store).monte_carlo(bomb, trials=4, base_seed=9, key="point")
         assert resumed == first
 
 
@@ -364,10 +314,13 @@ class TestMigration:
     def test_jsonl_to_sqlite_resumes_byte_identically(self, tmp_path):
         journal_path = tmp_path / "old.jsonl"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        first = monte_carlo(
-            trial, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(journal_path), checkpoint_key="point",
-        )
+        seeds = trial_seeds(9, 4)
+        first = [trial(seed) for seed in seeds]
+        with open(journal_path, "w", encoding="utf-8") as handle:
+            for seed, result in zip(seeds, first):  # the journal's line shape
+                record = {"key": "point", "seed": seed, "result": encode_result(result),
+                          "version": code_version()}
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
         with ResultStore(tmp_path / "new.sqlite") as store:
             report = migrate_journal(journal_path, store)
             assert report.migrated == 4 and report.duplicates == 0
@@ -375,9 +328,7 @@ class TestMigration:
             def bomb(seed):
                 raise AssertionError("migrated store must satisfy every lookup")
 
-            resumed = monte_carlo(
-                bomb, trials=4, base_seed=9, checkpoint=store, checkpoint_key="point"
-            )
+            resumed = SweepPool(store=store).monte_carlo(bomb, trials=4, base_seed=9, key="point")
         assert resumed == first  # bit-identical aggregates through sqlite
 
     def test_versionless_pr6_lines_migrate_as_unversioned(self, tmp_path, capsys):

@@ -206,12 +206,14 @@ class TestServeCLI:
         assert "error:" in capsys.readouterr().err
 
     def test_migrate_cli_round_trip(self, tmp_path, capsys):
-        from repro.experiments.resilience import CheckpointJournal
+        from repro.store import code_version
 
         journal = tmp_path / "journal.jsonl"
-        CheckpointJournal(journal).record_many(
-            "key", [(1, {"m": 1.0}), (2, {"m": 2.0})]
-        )
+        with open(journal, "w", encoding="utf-8") as handle:
+            for seed, value in ((1, 1.0), (2, 2.0)):
+                line = {"key": "key", "seed": seed, "result": {"m": value},
+                        "version": code_version()}
+                handle.write(json.dumps(line) + "\n")
         store = tmp_path / "store.sqlite"
         assert main(["migrate", str(journal), "--store", str(store)]) == 0
         assert "migrated 2 result(s)" in capsys.readouterr().out
@@ -219,3 +221,90 @@ class TestServeCLI:
         assert "migrated 0 result(s) (2 already present" in capsys.readouterr().out
         with ResultStore(store) as reopened:
             assert len(reopened) == 2
+
+    def test_serve_refuses_a_jsonl_journal_as_store(self, tmp_path, capsys):
+        spec_path = tmp_path / "study.json"
+        self._write_spec(spec_path)
+        journal = tmp_path / "old.jsonl"
+        journal.write_text('{"key": "k", "result": {"m": 1.0}, "seed": 1}\n')
+        before = journal.read_bytes()
+        with pytest.raises(SystemExit, match="abe-repro migrate"):
+            main(["serve", str(spec_path), "--store", str(journal)])
+        assert journal.read_bytes() == before
+
+    def test_optimize_refuses_a_non_sqlite_store(self, tmp_path):
+        garbage = tmp_path / "notes.txt"
+        garbage.write_text("operator notes, not a database\n")
+        with pytest.raises(SystemExit, match="is not a sqlite result store"):
+            main(
+                [
+                    "optimize",
+                    "examples/dse/tiny_random_search.json",
+                    "--out",
+                    str(tmp_path / "out"),
+                    "--store",
+                    str(garbage),
+                ]
+            )
+
+
+class TestOneShotPointsUnderThePolicy:
+    """One-shot points (the E4/E5 shape) run through the executor's ``map``,
+    so ``--retries`` covers them exactly like Monte-Carlo trials."""
+
+    def _study(self):
+        from repro.experiments import e4_retransmission
+
+        return e4_retransmission.build_study(probabilities=(0.3, 0.5), messages=400)
+
+    def _serve(self, path, policy=None):
+        with ResultStore(path) as store:
+            with StudyService(store, policy=policy) as service:
+                service.submit(self._study())
+                (report,) = service.run_pending()
+            return report, len(store)
+
+    def _flaky(self, monkeypatch, failing_calls):
+        from repro.scenarios.algorithms import LossyChannelTrial
+
+        original = LossyChannelTrial.__call__
+        calls = []
+
+        def flaky(trial, seed):
+            calls.append(seed)
+            if len(calls) <= failing_calls:
+                raise RuntimeError("transient channel failure")
+            return original(trial, seed)
+
+        monkeypatch.setattr(LossyChannelTrial, "__call__", flaky)
+        return calls
+
+    def test_retried_point_exports_the_unfailed_points(self, tmp_path, monkeypatch):
+        from repro.experiments.resilience import ExecutionPolicy
+
+        clean, _ = self._serve(tmp_path / "clean.sqlite")
+        calls = self._flaky(monkeypatch, failing_calls=1)
+        policy = ExecutionPolicy(retries=1)
+        report, stored = self._serve(tmp_path / "flaky.sqlite", policy)
+        assert len(calls) == 3  # two points plus one retry
+        assert policy.failures == []
+        assert [p.identity_dict() for p in report.points] == [
+            p.identity_dict() for p in clean.points
+        ]
+        assert [p.results for p in report.points] == [p.results for p in clean.points]
+        assert stored == 2
+
+    def test_exhausted_retries_show_as_a_point_failure(self, tmp_path, monkeypatch):
+        from repro.experiments.resilience import ExecutionPolicy, TrialFailure
+
+        self._flaky(monkeypatch, failing_calls=2)
+        policy = ExecutionPolicy(retries=1)
+        report, stored = self._serve(tmp_path / "flaky.sqlite", policy)
+        assert report.status == "completed"
+        first, second = report.points
+        assert first.summary["failures"] == 1 and first.summary["trials"] == 1
+        assert isinstance(first.results[0], TrialFailure)
+        assert first.results[0].attempts == 2
+        assert second.summary["failures"] == 0
+        assert len(policy.failures) == 1
+        assert stored == 1  # the failure is not cached: a re-run re-attempts it
