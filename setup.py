@@ -1,11 +1,31 @@
-"""Setuptools shim.
+"""Packaging for the ``repro`` library and its ``abe-repro`` command.
 
-The project is fully described by ``pyproject.toml``; this file exists so that
-editable installs (``pip install -e .``) work in offline environments whose
-pip falls back to the legacy ``setup.py develop`` code path when the ``wheel``
-package is unavailable.
+This file is the whole package description (there is no ``pyproject.toml``).
+``pip install -e .`` -- or ``python setup.py develop`` where pip cannot build
+an editable wheel offline -- installs an importable ``repro`` package from
+``src/`` together with the ``abe-repro`` console script.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$', INIT.read_text(encoding="utf-8"), re.MULTILINE
+).group(1)
+
+setup(
+    name="abe-repro",
+    version=VERSION,
+    description=(
+        "Leader election and synchronizers in asynchronous bounded expected "
+        "delay (ABE) networks"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages(where="src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
+    entry_points={"console_scripts": ["abe-repro = repro.cli:main"]},
+)

@@ -34,10 +34,6 @@ Installed as the ``abe-repro`` console script.  Eight sub-commands:
     Dump a sqlite result store as one CSV row per cached trial, for
     external analysis tooling.
 
-``abe-repro migrate``
-    One-way conversion of an old JSONL checkpoint journal into a sqlite
-    result store (deprecated: ``--checkpoint`` reads sqlite stores only).
-
 ``abe-repro list``
     List the available experiments with their claims, plus the registered
     scenario algorithms, topologies, search strategies and dimension kinds.
@@ -250,29 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--all-versions",
         action="store_true",
         help="include rows recorded under other code versions",
-    )
-
-    migrate = subparsers.add_parser(
-        "migrate",
-        help=(
-            "convert an old JSONL checkpoint journal into a sqlite store "
-            "(deprecated; to be removed in a later release)"
-        ),
-    )
-    migrate.add_argument("journal", help="source JSONL journal file")
-    migrate.add_argument(
-        "--store", required=True, metavar="PATH", help="destination sqlite store"
-    )
-    migrate.add_argument(
-        "--assume-version",
-        default=None,
-        metavar="VERSION",
-        help=(
-            "stamp version-less (pre-store) journal lines with this code "
-            "version instead of 'unversioned'; pass 'current' for the "
-            "running code's version (only if you know the journal was "
-            "written by behaviourally identical code)"
-        ),
     )
 
     subparsers.add_parser("list", help="list experiments, algorithms and topologies")
@@ -564,23 +537,6 @@ def _command_export_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_migrate(args: argparse.Namespace) -> int:
-    from repro.store.fingerprint import code_version
-    from repro.store.migrate import migrate_journal
-    from repro.store.result_store import ResultStore
-
-    assume = args.assume_version
-    if assume == "current":
-        assume = code_version()
-    try:
-        with ResultStore(args.store) as store:
-            report = migrate_journal(args.journal, store, assume_version=assume)
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error)) from None
-    print(report.summary())
-    return 0
-
-
 def _command_list() -> int:
     from repro.dse import DIMENSIONS, STRATEGIES
     from repro.scenarios import ALGORITHMS, CHURN, CHURN_EVENTS, DELAYS, TOPOLOGIES
@@ -623,8 +579,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_optimize(args)
     if args.command == "export-store":
         return _command_export_store(args)
-    if args.command == "migrate":
-        return _command_migrate(args)
     if args.command == "list":
         return _command_list()
     parser.print_help()

@@ -482,9 +482,7 @@ def build_churn_election_network(
     network = Network(config, program_factory)
     monitor.attach(network)
     if batch_ticks:
-        driver = SharedTickProcess(
-            network.simulator, period=tick_period, expected_members=n
-        )
+        driver = SharedTickProcess(network.simulator, period=tick_period)
         for node in network.nodes:
             node.program.tick_driver = driver
 

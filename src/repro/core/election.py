@@ -48,11 +48,10 @@ the message path:
   :class:`~repro.core.activation.ActivationSchedule`), so a steady-state tick
   performs no attribute-chain walks, no method dispatch into the schedule and
   no exponentiation;
-* tick scheduling itself is allocation-free: the per-node
-  :class:`~repro.sim.process.TickProcess` re-arms one event record per tick,
-  and under ``batch_ticks`` (see :func:`repro.core.runner.build_election_network`)
+* under ``batch_ticks`` (see :func:`repro.core.runner.build_election_network`)
   a :class:`~repro.sim.process.SharedTickProcess` drives a whole activation
-  round of nodes from a single heap entry.
+  round of nodes from a single heap entry; the per-node
+  :class:`~repro.sim.process.TickProcess` schedules one event per tick.
 """
 
 from __future__ import annotations

@@ -188,9 +188,7 @@ def build_election_network(
 
     network = Network(config, program_factory)
     if batch_ticks:
-        driver = SharedTickProcess(
-            network.simulator, period=tick_period, expected_members=n
-        )
+        driver = SharedTickProcess(network.simulator, period=tick_period)
         for node in network.nodes:
             node.program.tick_driver = driver
     return network, status

@@ -5,9 +5,11 @@ clock tick; this module simulates the same Section 3 election with *columnar*
 state: node status codes, hop knowledge ``d``, cached activation
 probabilities and the compacted set of still-ticking nodes are flat numpy
 arrays, ring adjacency is index arithmetic (``successor = (i + 1) % n``) and
-pending message arrivals live in a :class:`~repro.sim.simcore.SimCore`
-columnar store (batched activation sends use the columns, scalar forwards
-ride inline heap tuples).  Each activation round is one vectorized step -- a
+every pending message arrival is one ``(time, seq, hop, dst)`` tuple on a
+single :mod:`heapq` list.  Ties in ``time`` break by push order (the strictly
+increasing ``seq``), exactly like the object engine's shared sequence
+counter, so a run stays deterministic when a discrete delay model lands two
+arrivals on one instant.  Each activation round is one vectorized step -- a
 slice of a block-prefetched uniform vector compared against the per-node
 activation probabilities in one shot -- instead of ``n`` per-node callback
 events, and a round's outgoing ``<1>`` messages sample their channel delays
@@ -71,7 +73,6 @@ from repro.models.abe import ABEModel
 from repro.network.delays import DelayDistribution
 from repro.sim.engine import SimulationDiverged
 from repro.sim.rng import RandomSource
-from repro.sim.simcore import SimCore
 
 __all__ = ["VectorRingElection", "run_vector_election"]
 
@@ -264,7 +265,10 @@ class VectorRingElection:
         self._loss_block: Optional[np.ndarray] = None
         self._loss_index = 0
 
-        self._core = SimCore(capacity=max(64, min(n, 65536)))
+        # Pending arrivals as (time, seq, hop, dst); seq is unique, so tuple
+        # comparison never reaches the payload.
+        self._heap: List[Tuple[float, int, int, int]] = []
+        self._seq = 0
         # Per-channel FIFO floors: channel i is the link i -> (i + 1) % n.
         self._fifo_floor = np.zeros(n, dtype=np.float64) if fifo else None
 
@@ -332,7 +336,12 @@ class VectorRingElection:
             arrivals = arrivals + self._processing.take(count)
         dst = activated + 1
         dst[dst == self.n] = 0
-        self._core.push_batch(arrivals, 1, dst)
+        heap = self._heap
+        seq = self._seq
+        for arrival, succ in zip(arrivals.tolist(), dst.tolist()):
+            heapq.heappush(heap, (arrival, seq, 1, succ))
+            seq += 1
+        self._seq = seq
 
     # -------------------------------------------------------------------- run
 
@@ -348,7 +357,7 @@ class VectorRingElection:
         The loop body is deliberately inlined: the receive rules, the scalar
         forward path and the per-round coin comparison all run on hoisted
         locals (plain-list mirrors of the scalar-accessed columns, prefetched
-        uniform/delay blocks, inline heap tuples for forwarded messages).
+        uniform/delay blocks, the heap list and its sequence counter).
         The vectorized batch paths -- :meth:`_activate_batch` and lazy tick-set
         compaction -- still operate on the numpy columns; shared counters are
         synced around those calls.
@@ -361,14 +370,10 @@ class VectorRingElection:
             max_events = _default_max_events(self.n)
         limit_time = math.inf if max_time is None else float(max_time)
         n = self.n
-        core = self._core
-        heap = core._heap
-        hop_col = core._hop
-        dst_col = core._dst
-        free_list = core._free
+        heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        seq = core._seq
+        seq = self._seq
         status_col = self._status
         prob = self._prob
         prob_for = self._probability_for
@@ -407,13 +412,11 @@ class VectorRingElection:
         ticks = self.ticks
         rounds = self.rounds
         deliveries = self.deliveries
-        deliveries_start = deliveries
         messages_total = self.messages_total
         knockouts = self.knockouts
         hop_overflows = self.hop_overflows
         messages_dropped = self.messages_dropped
         deliveries_to_crashed = self.deliveries_to_crashed
-        scalar_sends = 0
         round_index = 1
         next_round: float = period
         events = 0
@@ -485,7 +488,7 @@ class VectorRingElection:
                     self._idle_count = idle_count
                     self._active_count = active_count
                     self.messages_total = messages_total
-                    core._seq = seq
+                    self._seq = seq
                     activated = ids[hits]
                     self._activate_batch(activated, when)
                     for uid in activated.tolist():
@@ -493,7 +496,7 @@ class VectorRingElection:
                     idle_count = self._idle_count
                     active_count = self._active_count
                     messages_total = self.messages_total
-                    seq = core._seq
+                    seq = self._seq
                 round_index += 1
                 next_round = round_index * period
                 if not heap and idle_count == 0:
@@ -505,15 +508,7 @@ class VectorRingElection:
                 continue
             # ------------------------------------------------- delivery
             deliveries += 1
-            entry = heappop(heap)
-            if len(entry) == 4:
-                hop = entry[2]
-                dst = entry[3]
-            else:
-                slot = entry[2]
-                hop = hop_col[slot]
-                dst = dst_col[slot]
-                free_list.append(slot)
+            _, _, hop, dst = heappop(heap)
             if loss:
                 # Delivery-time loss coin from the dedicated loss stream,
                 # drawn before the crashed check (the object core's
@@ -582,7 +577,6 @@ class VectorRingElection:
             if new_hop > n:
                 hop_overflows += 1
             messages_total += 1
-            scalar_sends += 1
             if fast_delay:
                 if delay_index >= delay_len:
                     delay_list = delays.take(2048).tolist()
@@ -617,9 +611,7 @@ class VectorRingElection:
         self.messages_dropped = messages_dropped
         self.deliveries_to_crashed = deliveries_to_crashed
         self._d[:] = d
-        core._seq = seq
-        core.pushed += scalar_sends
-        core.popped += deliveries - deliveries_start
+        self._seq = seq
         if not self.decided:
             if not truncated and self._stuck_live():
                 # A lone active node waiting for a message that will never
@@ -653,7 +645,7 @@ class VectorRingElection:
     def _stuck_live(self) -> bool:
         """Live-but-frozen: ticking nodes exist, yet no progress is possible."""
         return (
-            len(self._core) == 0
+            not self._heap
             and self._idle_count == 0
             and self._active_count > 0
         )

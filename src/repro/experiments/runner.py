@@ -328,8 +328,8 @@ def executor_from_args(
     allow_stale=--allow-stale-cache)``: ``--resume`` keeps the store's
     completed trials and requires ``--checkpoint``; without it an existing
     store at the path is replaced.  A path that is not a sqlite store (e.g. a
-    JSONL journal, which must be converted with ``abe-repro migrate``) exits
-    with a one-line message and leaves the file untouched.  Pool and store
+    retired JSONL journal) exits with a one-line message and leaves the file
+    untouched.  Pool and store
     are closed on exit.
     """
     path = getattr(args, "checkpoint", None)

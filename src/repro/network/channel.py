@@ -225,9 +225,8 @@ class Channel:
         if processing is None:
             self.destination.deliver(payload, self.destination_port)
         else:
-            extra = processing.sample(self.rng)
-            self._simulator.schedule_call(
-                extra,
+            self._simulator.schedule_call_at(
+                now + processing.sample(self.rng),
                 partial(self.destination.deliver, payload),
                 self.destination_port,
             )

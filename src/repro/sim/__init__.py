@@ -4,9 +4,15 @@ The :mod:`repro.sim` package provides the execution substrate that every other
 part of the library is built on:
 
 * :class:`~repro.sim.engine.Simulator` -- a deterministic, seedable
-  discrete-event scheduler with a priority-queue core.
+  discrete-event scheduler over one heap, with two ways onto it:
+  ``schedule``/``schedule_at`` (a cancellable
+  :class:`~repro.sim.events.EventHandle`) and ``schedule_call_at`` (the
+  handle-free message-delivery path).
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventHandle` --
   scheduled callbacks with stable, reproducible ordering.
+* :class:`~repro.sim.process.TickProcess` /
+  :class:`~repro.sim.process.SharedTickProcess` -- local-clock tick drivers,
+  per node or bucketed per instant.
 * :class:`~repro.sim.clock.LocalClock` -- per-node local clocks whose rates are
   bounded between ``s_low`` and ``s_high`` as required by Definition 1(2) of
   the ABE model.
@@ -33,12 +39,7 @@ from repro.sim.clock import (
     SinusoidalDrift,
 )
 from repro.sim.rng import RandomSource, derive_seed
-from repro.sim.process import (
-    PeriodicProcess,
-    SharedTickMembership,
-    SharedTickProcess,
-    TickProcess,
-)
+from repro.sim.process import SharedTickMembership, SharedTickProcess, TickProcess
 from repro.sim.monitor import Counter, MetricsCollector, TimeSeries
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -56,7 +57,6 @@ __all__ = [
     "SinusoidalDrift",
     "RandomSource",
     "derive_seed",
-    "PeriodicProcess",
     "SharedTickProcess",
     "SharedTickMembership",
     "TickProcess",

@@ -3,36 +3,41 @@
 :class:`Simulator` is a minimal but complete event scheduler: a binary heap of
 ``(time, priority, sequence, event)`` tuples ordered lexicographically, which
 matches the documented ``(time, priority, sequence)`` event order while keeping
-heap comparisons in C (plain tuple comparison) instead of Python-level
-``Event.__lt__``.  All higher layers (channels, clocks, synchronizers, the
+heap comparisons in C (plain tuple comparison); :class:`Event` itself defines
+no ordering.  All higher layers (channels, clocks, synchronizers, the
 election algorithm) are expressed as callbacks scheduled on a single simulator
 instance, so an entire distributed execution is one totally ordered sequence
 of events, reproducible from a seed.
 
+Scheduling entry points
+-----------------------
+There are two ways onto the heap, and they share one sequence counter:
+
+* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` (relative and
+  absolute time, one body) build an :class:`Event` and return a cancellable
+  :class:`EventHandle`.  Timers, clock ticks and every self-repeating process
+  use them, scheduling a fresh event per firing.
+* :meth:`Simulator.schedule_call_at` is the *handle-free* message-delivery
+  path: it pushes a plain ``(time, priority, sequence, fn, arg)`` tuple -- no
+  :class:`Event`, no :class:`EventHandle`, no closure, no listener dispatch.
+  :class:`~repro.network.channel.Channel` delivers every message through it.
+
 Hot-path notes
 --------------
 The engine dominates the wall-clock time of every experiment (millions of
-heap operations per election), so :meth:`Simulator.run`, :meth:`~Simulator.step`
-and :meth:`~Simulator.schedule_at` deliberately trade a little readability for
-speed:
+heap operations per election), so :meth:`Simulator.run` and the scheduling
+calls deliberately trade a little readability for speed:
 
 * heap entries are tuples, so ordering never calls back into Python;
 * the sequence counter is a per-simulator integer (no global
   ``itertools.count`` indirection, and two simulators in one process cannot
   perturb each other's event numbering);
 * ``heapq.heappush``/``heappop`` and the queue list are bound to locals inside
-  the loops;
+  the loop;
 * the listener loop is skipped entirely when no listeners are registered
-  (the common case for experiment sweeps, which disable tracing);
-* :meth:`~Simulator.schedule_call` / :meth:`~Simulator.schedule_call_at` are
-  *handle-free* fast paths for fire-and-forget events: they push a plain
-  ``(time, priority, sequence, fn, arg)`` tuple -- no :class:`Event`, no
-  :class:`EventHandle`, no closure, no listener dispatch.  The message
-  delivery path of :class:`~repro.network.channel.Channel` lives here;
-* self-repeating work re-arms one fired :class:`Event` record through
-  :meth:`~Simulator.reschedule` instead of allocating a new one per firing.
+  (the common case for experiment sweeps, which disable tracing).
 
-Because the fast-path entries carry no :class:`Event`, registered listeners
+Because the delivery entries carry no :class:`Event`, registered listeners
 do not see them.  Components that must observe *every* event regardless of
 how it was scheduled (e.g. :meth:`~repro.network.network.Network.stop_when`
 predicates) use the :meth:`~Simulator.add_before_event` hooks, which the run
@@ -48,7 +53,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.sim.events import Event, EventHandle, EventKind
 
 #: Heap entry layouts.  Regular events are ``(time, priority, sequence,
-#: event)``; handle-free fast-path entries are ``(time, priority, sequence,
+#: event)``; handle-free delivery entries are ``(time, priority, sequence,
 #: fn, arg)``.  The sequence is unique per simulator, so heap comparisons
 #: never reach the trailing elements and the two layouts can share one heap.
 QueueEntry = Tuple[float, int, int, Event]
@@ -126,8 +131,8 @@ class Simulator:
 
     * events are ordered by ``(time, priority, sequence)`` where the sequence
       is assigned in scheduling order (one shared counter across
-      :meth:`schedule` and the handle-free :meth:`schedule_call` fast path,
-      so the two interleave exactly like two ``schedule`` calls would), and
+      :meth:`schedule` and the handle-free :meth:`schedule_call_at` path, so
+      the two interleave exactly like two ``schedule`` calls would), and
     * the engine itself never consults a random number generator.
 
     Examples
@@ -135,7 +140,7 @@ class Simulator:
     >>> sim = Simulator()
     >>> fired = []
     >>> _ = sim.schedule(2.0, lambda: fired.append("b"))
-    >>> sim.schedule_call(1.0, fired.append, "a")
+    >>> sim.schedule_call_at(1.0, fired.append, "a")
     >>> sim.run()
     >>> fired
     ['a', 'b']
@@ -234,76 +239,28 @@ class Simulator:
         self._events_scheduled += 1
         return EventHandle(event)
 
-    def reschedule(self, handle: EventHandle, delay: float) -> None:
-        """Re-arm a *fired* event's record ``delay`` time units from now.
+    def schedule_call_at(
+        self, time: float, fn: Callable[[Any], None], arg: Any = None, priority: int = 0
+    ) -> None:
+        """Handle-free path: call ``fn(arg)`` at the absolute time ``time``.
 
-        The zero-allocation sibling of :meth:`schedule` for self-repeating
-        work: :class:`~repro.sim.process.TickProcess` and friends hold one
-        :class:`EventHandle` for their whole lifetime and re-arm it after
-        every firing, so steady-state ticking builds no Event, no handle and
-        no closure.  Ordering is identical to a fresh :meth:`schedule` call --
-        the entry consumes the same shared sequence counter -- and the
-        handle's ``cancel``/``fired`` semantics are unchanged (priority and
-        kind are preserved from the original scheduling).
+        The fire-and-forget sibling of :meth:`schedule_at`: no :class:`Event`
+        is built, no :class:`EventHandle` is returned (the call cannot be
+        cancelled), and listeners are not dispatched.  Ordering is identical
+        to :meth:`schedule_at` -- the entry consumes the same shared sequence
+        counter, so handle-free and regular events interleave exactly by
+        scheduling order at equal ``(time, priority)``.
+
+        This is the entry point of every message delivery
+        (:meth:`~repro.network.channel.Channel.transmit` computes the absolute
+        delivery time from the sampled delay).  Passing the receiver as
+        ``arg`` (typically a bound method plus its argument) is what lets the
+        message path avoid allocating a closure per delivery.
 
         Raises
         ------
         SimulationError
-            If the event has not fired (it would still be in the queue, and
-            re-pushing it would corrupt the heap) or ``delay`` is invalid.
-        """
-        event = handle._event
-        if not event.fired:
-            raise SimulationError(
-                "reschedule requires a handle whose event has already fired"
-            )
-        if not (0.0 <= delay < _INF):
-            if not _isfinite(delay):
-                raise SimulationError(f"delay must be finite, got {delay!r}")
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        event.time = time
-        event.sequence = sequence
-        event.cancelled = False
-        event.fired = False
-        _heappush(self._queue, (time, event.priority, sequence, event))
-        self._events_scheduled += 1
-
-    def schedule_call(
-        self, delay: float, fn: Callable[[Any], None], arg: Any = None, priority: int = 0
-    ) -> None:
-        """Handle-free fast path: call ``fn(arg)`` after ``delay`` time units.
-
-        The fire-and-forget sibling of :meth:`schedule`: no :class:`Event` is
-        built, no :class:`EventHandle` is returned (the call cannot be
-        cancelled), and listeners are not dispatched.  Ordering is identical
-        to :meth:`schedule` -- the entry consumes the same shared sequence
-        counter, so fast-path and regular events interleave exactly by
-        scheduling order at equal ``(time, priority)``.
-
-        Passing the receiver as ``arg`` (typically a bound method plus its
-        argument) is what lets the message path avoid allocating a closure
-        per delivery.
-        """
-        if not (0.0 <= delay < _INF):
-            if not _isfinite(delay):
-                raise SimulationError(f"delay must be finite, got {delay!r}")
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        _heappush(self._queue, (self._now + delay, priority, sequence, fn, arg))
-        self._events_scheduled += 1
-
-    def schedule_call_at(
-        self, time: float, fn: Callable[[Any], None], arg: Any = None, priority: int = 0
-    ) -> None:
-        """Handle-free fast path: call ``fn(arg)`` at an absolute time.
-
-        See :meth:`schedule_call`.  This is the entry point of every message
-        delivery (:meth:`~repro.network.channel.Channel.transmit` computes the
-        absolute delivery time from the sampled delay).
+            If ``time`` precedes the current simulation time or is NaN.
         """
         if not (time >= self._now):  # also rejects NaN
             raise SimulationError(
@@ -318,7 +275,7 @@ class Simulator:
         """Register a hook invoked (with the event) just before each event fires.
 
         Listeners receive only regular :class:`Event` entries; the handle-free
-        :meth:`schedule_call` fast path bypasses them by design.  Use
+        :meth:`schedule_call_at` path bypasses them by design.  Use
         :meth:`add_before_event` to observe every entry.
         """
         self._listeners.append(listener)
@@ -334,9 +291,9 @@ class Simulator:
         """Register an argument-less hook invoked before every entry fires.
 
         Hooks run immediately before *every* live entry -- regular events and
-        handle-free fast-path calls alike -- after the clock has advanced to
+        handle-free calls alike -- after the clock has advanced to
         the entry's time, in registration order.  Unlike listeners they see
-        no event object, which is what lets the fast path skip building one;
+        no event object, which is what lets the delivery path skip building one;
         :meth:`repro.network.network.Network.stop_when` multiplexes its
         predicates behind a single hook so the no-hook case costs one
         truthiness check per event.  Adding or removing a hook from a
@@ -352,38 +309,6 @@ class Simulator:
             pass
 
     # ---------------------------------------------------------------- running
-
-    def step(self) -> bool:
-        """Fire the single next live event.
-
-        Returns ``True`` if an event was fired, ``False`` if the queue is
-        empty (cancelled events are silently discarded without counting as a
-        step).
-        """
-        queue = self._queue
-        while queue:
-            entry = _heappop(queue)
-            if len(entry) == 5:
-                self._now = entry[0]
-                for hook in self._before_event:
-                    hook()
-                entry[3](entry[4])
-                self._events_processed += 1
-                return True
-            event = entry[3]
-            if event.cancelled:
-                continue
-            self._now = entry[0]
-            for hook in self._before_event:
-                hook()
-            listeners = self._listeners
-            if listeners:
-                for listener in listeners:
-                    listener(event)
-            event.fire()
-            self._events_processed += 1
-            return True
-        return False
 
     def run(
         self,
@@ -435,7 +360,7 @@ class Simulator:
                     break
                 if until is not None:
                     # Peek before popping: drain cancelled heads in one pass so
-                    # the horizon check sees the next *live* event.  Fast-path
+                    # the horizon check sees the next *live* event.  Handle-free
                     # entries (length 5) are never cancellable.
                     while queue:
                         head = queue[0]
@@ -473,11 +398,10 @@ class Simulator:
                         event.fired = True
                         event.callback()
                 else:
-                    # Handle-free fast path: no Event, no listeners, one call.
+                    # Handle-free entry: no Event, no listeners, one call.
                     entry[3](entry[4])
-                # Matches step(): an event cancelled by a listener after being
-                # popped live still counts as a processed step (its callback is
-                # suppressed, like the seed engine's Event.fire()).
+                # An event cancelled by a listener after being popped live
+                # still counts as processed; only its callback is suppressed.
                 self._events_processed += 1
                 fired += 1
             else:

@@ -1,33 +1,27 @@
 """Event objects used by the discrete-event scheduler.
 
-Events are ordered by ``(time, priority, sequence)``.  The sequence number is a
-monotonically increasing counter assigned at scheduling time, which gives the
+Events fire in ``(time, priority, sequence)`` order.  The sequence number is
+a per-simulator counter assigned at scheduling time, which gives the
 simulation a total, reproducible order even when many events share the same
 timestamp -- a frequent situation in synchronous-round simulations where all
 nodes act at integer times.
 
-Performance note: :class:`Event` is a ``__slots__`` class whose ordering is a
-single precomputed ``sort_key`` tuple comparison.  The scheduler itself goes
-one step further and keeps ``(time, priority, sequence, event)`` tuples on its
-heap, so the hot comparison path never enters Python-level ``__lt__`` at all;
-the key on the event exists for API compatibility (events remain directly
-comparable) and for code that sorts events outside the engine.
+:class:`Event` is a plain ``__slots__`` record and defines no ordering: the
+scheduler keeps ``(time, priority, sequence, event)`` tuples on its heap, so
+comparisons stay in C and never reach the event itself.
 
 Lifecycle note: every :meth:`~repro.sim.engine.Simulator.schedule` call
-builds a fresh :class:`Event`; only
-:meth:`~repro.sim.engine.Simulator.reschedule` re-arms a record, and only
-one whose event has already fired and whose handle the caller still owns.
-Code that holds a handle therefore always observes stable, truthful
-``fired``/``cancelled`` state.  Fire-and-forget work should prefer
-:meth:`~repro.sim.engine.Simulator.schedule_call`, which bypasses
+builds a fresh :class:`Event`, and no record is ever re-armed, so code that
+holds a handle always observes stable, truthful ``fired``/``cancelled``
+state.  Message deliveries go through
+:meth:`~repro.sim.engine.Simulator.schedule_call_at`, which bypasses
 :class:`Event` construction entirely.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable
 
 
 class EventKind(enum.Enum):
@@ -47,22 +41,6 @@ class EventKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-_sequence_counter = itertools.count()
-
-
-def next_sequence() -> int:
-    """Return the next global scheduling sequence number.
-
-    Used by :func:`make_event` for events constructed outside a simulator.
-    :class:`~repro.sim.engine.Simulator` instead assigns sequence numbers from
-    a per-instance counter, which keeps a simulation's event order independent
-    of any other simulator living in the same process and avoids the global
-    counter indirection on the scheduling hot path.
-    """
-
-    return next(_sequence_counter)
 
 
 class Event:
@@ -122,33 +100,6 @@ class Event:
         self.payload = payload
         self.cancelled = cancelled
         self.fired = False
-
-    @property
-    def sort_key(self) -> Tuple[float, int, int]:
-        """The ``(time, priority, sequence)`` ordering tuple."""
-        return (self.time, self.priority, self.sequence)
-
-    # Ordering ---------------------------------------------------------------
-    # Only the scheduling key participates; callback/kind/payload are ignored,
-    # matching the old ``order=True`` dataclass semantics.
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
-
-    def __le__(self, other: "Event") -> bool:
-        return self.sort_key <= other.sort_key
-
-    def __gt__(self, other: "Event") -> bool:
-        return self.sort_key > other.sort_key
-
-    def __ge__(self, other: "Event") -> bool:
-        return self.sort_key >= other.sort_key
-
-    def fire(self) -> None:
-        """Invoke the callback unless the event has been cancelled."""
-        if not self.cancelled:
-            self.fired = True
-            self.callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "live")
@@ -214,22 +165,3 @@ class EventHandle:
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "live")
         return f"EventHandle(t={self.time:.6g}, kind={self.kind}, {state})"
 
-
-def make_event(
-    time: float,
-    callback: Callable[[], None],
-    *,
-    priority: int = 0,
-    kind: EventKind = EventKind.GENERIC,
-    payload: Optional[Any] = None,
-) -> Event:
-    """Construct an :class:`Event` with a fresh global sequence number."""
-
-    return Event(
-        time=time,
-        priority=priority,
-        sequence=next_sequence(),
-        callback=callback,
-        kind=kind,
-        payload=payload,
-    )

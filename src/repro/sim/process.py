@@ -1,22 +1,12 @@
-"""Periodic and tick-driven processes on top of the event engine.
+"""Tick-driven processes on top of the event engine.
 
 The ABE election algorithm is clock-driven: "at every clock tick" an idle node
 flips a coin.  :class:`TickProcess` schedules those ticks according to a
 node's :class:`~repro.sim.clock.LocalClock`, translating local tick intervals
-into real-time event delays.  :class:`PeriodicProcess` is the simpler
-real-time-periodic variant used by synchronizers and monitors.
+into real-time event delays, one :meth:`~repro.sim.engine.Simulator.schedule`
+call per tick.
 
-Hot-path notes
---------------
-Ticks dominate the event count of every election (each node flips a coin per
-local time unit), so the repeating processes here are allocation-free at
-steady state: each keeps exactly one :class:`~repro.sim.events.Event` (via its
-:class:`~repro.sim.events.EventHandle`) alive and re-arms it after every
-firing through :meth:`~repro.sim.engine.Simulator.reschedule`, which reuses
-the record and consumes the same shared sequence counter -- event ordering is
-bit-identical to the schedule-per-tick code it replaced.
-
-:class:`SharedTickProcess` goes one step further: members' ticks are
+:class:`SharedTickProcess` is the batched driver: members' ticks are
 *bucketed per instant*, so every group of ticks landing at the same simulated
 time rides a single heap entry.  Each member keeps its own (possibly
 drifting) clock and computes its next tick exactly like a private
@@ -37,65 +27,7 @@ from repro.sim.clock import LocalClock
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle, EventKind
 
-__all__ = ["PeriodicProcess", "TickProcess", "SharedTickProcess", "SharedTickMembership"]
-
-
-class PeriodicProcess:
-    """Invoke a callback every ``period`` units of *real* simulation time.
-
-    The callback receives the invocation count (0-based).  Returning ``False``
-    from the callback stops the process; any other return value continues it.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        period: float,
-        callback: Callable[[int], Optional[bool]],
-        *,
-        start_delay: float = 0.0,
-        kind: EventKind = EventKind.PROCESS_STEP,
-    ) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        if start_delay < 0:
-            raise ValueError("start_delay must be non-negative")
-        self._simulator = simulator
-        self._period = float(period)
-        self._callback = callback
-        self._kind = kind
-        self._count = 0
-        self._stopped = False
-        self._handle: Optional[EventHandle] = None
-        self._handle = simulator.schedule(start_delay, self._fire, kind=kind)
-
-    @property
-    def invocations(self) -> int:
-        """How many times the callback has run."""
-        return self._count
-
-    @property
-    def stopped(self) -> bool:
-        """Whether the process has been stopped (explicitly or by the callback)."""
-        return self._stopped
-
-    def stop(self) -> None:
-        """Stop the process; the pending tick (if any) is cancelled."""
-        self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        result = self._callback(self._count)
-        self._count += 1
-        if result is False or self._stopped:
-            self._stopped = True
-            return
-        # The handle's event has just fired, so its record can be re-armed in
-        # place: no allocation, identical ordering semantics.
-        self._simulator.reschedule(self._handle, self._period)
+__all__ = ["TickProcess", "SharedTickProcess", "SharedTickMembership"]
 
 
 class TickProcess:
@@ -126,7 +58,7 @@ class TickProcess:
         self._kind = kind
         self._count = 0
         self._stopped = False
-        self._handle: Optional[EventHandle] = None
+        self._handle: EventHandle
         self._schedule_next()
 
     @property
@@ -142,8 +74,7 @@ class TickProcess:
     def stop(self) -> None:
         """Stop ticking; the pending tick (if any) is cancelled."""
         self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
+        self._handle.cancel()
 
     def _schedule_next(self) -> None:
         now = self._simulator.now
@@ -151,14 +82,7 @@ class TickProcess:
         # Guard against a zero delay caused by floating point rounding: a zero
         # delay would livelock the simulator at a single instant.
         real_delay = max(real_delay, 1e-12)
-        handle = self._handle
-        if handle is not None and handle.fired:
-            # Steady state: re-arm the one event record this process owns.
-            self._simulator.reschedule(handle, real_delay)
-        else:
-            self._handle = self._simulator.schedule(
-                real_delay, self._fire, kind=self._kind
-            )
+        self._handle = self._simulator.schedule(real_delay, self._fire, kind=self._kind)
 
     def _fire(self) -> None:
         if self._stopped:
@@ -210,20 +134,13 @@ class SharedTickMembership:
 
 
 class _TickBucket:
-    """Every member whose next tick lands at one instant, plus its heap entry.
+    """Every member whose next tick lands at one instant, plus its heap entry."""
 
-    ``members`` is a pre-sized slot array filled up to ``size`` (slots beyond
-    ``size`` are stale or ``None``), so the steady-state round of a drift-free
-    ring never grows a list member by member.  Buckets are recycled by the
-    driver, so the slot array is allocated once and reused every round.
-    """
+    __slots__ = ("time", "members", "live", "handle")
 
-    __slots__ = ("time", "members", "size", "live", "handle")
-
-    def __init__(self, time: float, handle: EventHandle, capacity: int) -> None:
+    def __init__(self, time: float, handle: EventHandle) -> None:
         self.time = time
-        self.members: List[Optional[SharedTickMembership]] = [None] * capacity
-        self.size = 0
+        self.members: List[SharedTickMembership] = []
         self.live = 0
         self.handle = handle
 
@@ -258,13 +175,8 @@ class SharedTickProcess:
 
     A callback returning ``False`` or an explicit ``membership.stop()``
     removes the member; a bucket whose members all stopped cancels its
-    pending event, keeping the queue small.  Fired event records *and* their
-    buckets are parked on driver-local spare lists: records are re-armed
-    through :meth:`~repro.sim.engine.Simulator.reschedule`, and recycled
-    buckets keep their member slot arrays (``expected_members`` hints the
-    initial capacity, e.g. the ring size), so the steady-state round fills
-    pre-sized slots instead of growing a list member by member -- measurable
-    at n >= 10^4 where every activation round re-bucketed all n members.
+    pending event, keeping the queue small.  Every new instant gets a fresh
+    bucket and one :meth:`~repro.sim.engine.Simulator.schedule` call.
     """
 
     def __init__(
@@ -273,19 +185,13 @@ class SharedTickProcess:
         *,
         period: float = 1.0,
         kind: EventKind = EventKind.CLOCK_TICK,
-        expected_members: int = 0,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
-        if expected_members < 0:
-            raise ValueError("expected_members must be non-negative")
         self._simulator = simulator
         self._period = float(period)
         self._kind = kind
-        self._expected_members = int(expected_members)
         self._buckets: Dict[float, _TickBucket] = {}
-        self._spare_handles: List[EventHandle] = []
-        self._spare_buckets: List[_TickBucket] = []
         self._live = 0
         self._rounds = 0
 
@@ -344,32 +250,9 @@ class SharedTickProcess:
         time = now + delay  # identical float to what the engine computes
         bucket = self._buckets.get(time)
         if bucket is None:
-            spare = self._spare_handles
-            if spare:
-                handle = spare.pop()
-                self._simulator.reschedule(handle, delay)
-            else:
-                handle = self._simulator.schedule(delay, self._fire, kind=self._kind)
-            spare_buckets = self._spare_buckets
-            if spare_buckets:
-                # Recycled bucket: the slot array keeps its capacity, so the
-                # steady-state round fills pre-sized slots instead of growing
-                # a fresh list member by member.
-                bucket = spare_buckets.pop()
-                bucket.time = time
-                bucket.handle = handle
-                bucket.size = 0
-                bucket.live = 0
-            else:
-                bucket = _TickBucket(time, handle, self._expected_members)
-            self._buckets[time] = bucket
-        members = bucket.members
-        size = bucket.size
-        if size < len(members):
-            members[size] = member
-        else:
-            members.append(member)
-        bucket.size = size + 1
+            handle = self._simulator.schedule(delay, self._fire, kind=self._kind)
+            bucket = self._buckets[time] = _TickBucket(time, handle)
+        bucket.members.append(member)
         bucket.live += 1
         member._bucket = bucket
 
@@ -382,14 +265,9 @@ class SharedTickProcess:
         bucket.live -= 1
         if bucket.live == 0 and self._buckets.get(bucket.time) is bucket:
             # Nobody left at this instant: drop the bucket and cancel its
-            # event (the stale heap entry is skipped at pop).  A cancelled,
-            # never-fired record cannot be re-armed, so it is not parked.
+            # event (the stale heap entry is skipped at pop).
             del self._buckets[bucket.time]
             bucket.handle.cancel()
-            # Stale slots beyond ``size`` keep references to stopped members;
-            # memberships live for the whole run in election usage, so the
-            # retention is harmless and zeroing them would cost O(n) per round.
-            self._spare_buckets.append(bucket)
 
     def _fire(self) -> None:
         now = self._simulator._now
@@ -397,16 +275,9 @@ class SharedTickProcess:
         if bucket is None:  # pragma: no cover - defensive; stop() cancels
             return
         self._rounds += 1
-        # The fired record can be re-armed immediately (the engine marks it
-        # fired before the callback runs), so rescheduling inside the member
-        # loop below reuses it for the next instant.
-        self._spare_handles.append(bucket.handle)
-        members = bucket.members
-        # Iterate by index: only the first ``size`` slots belong to this
-        # round; re-bucketing inside the loop targets other buckets (the
-        # firing bucket was popped above and is parked only after the loop).
-        for index in range(bucket.size):
-            member = members[index]
+        # The firing bucket was popped above, so re-bucketing inside the loop
+        # always targets other buckets and never grows this member list.
+        for member in bucket.members:
             if member.stopped:
                 continue
             member._bucket = None
@@ -419,4 +290,3 @@ class SharedTickProcess:
             if member.stopped:  # the callback called stop() explicitly
                 continue
             self._schedule_next(member)
-        self._spare_buckets.append(bucket)

@@ -27,11 +27,6 @@ content-addressable key.  This package turns that contract into storage:
     from it and journals fresh ones into it; ``--checkpoint``, ``serve
     --store`` and ``optimize --store`` all open one.
 
-:mod:`repro.store.migrate`
-    One-way conversion of the retired JSONL checkpoint journals into a
-    :class:`ResultStore` (``abe-repro migrate``; deprecated, to be removed
-    in a later release).
-
 :mod:`repro.store.service`
     :class:`StudyService` and the ``abe-repro serve`` job queue: spec
     submissions deduplicated by fingerprint, one warm
@@ -46,17 +41,14 @@ from repro.store.fingerprint import (
     spec_fingerprint,
     study_fingerprint,
 )
-from repro.store.migrate import MigrationReport, migrate_journal
 from repro.store.result_store import ResultStore
 
 __all__ = [
-    "MigrationReport",
     "ResultStore",
     "callable_fingerprint",
     "code_version",
     "decode_result",
     "encode_result",
-    "migrate_journal",
     "spec_fingerprint",
     "study_fingerprint",
 ]

@@ -1,8 +1,7 @@
 """Exact-round-trip JSON codec for trial results.
 
-Moved verbatim from :mod:`repro.experiments.resilience` (PR 6) so both
-journal backends and the migration tool share one codec; the resilience
-module re-exports both names unchanged.
+The one codec of the sqlite :class:`~repro.store.result_store.ResultStore`:
+a trial result encodes to JSON and decodes back to an equal object.
 """
 
 from __future__ import annotations

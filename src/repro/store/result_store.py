@@ -46,7 +46,7 @@ def _check_store_file(path: str) -> None:
     """Refuse a file that is neither empty nor a sqlite database.
 
     Runs before ``fresh`` removes anything and before sqlite connects, so a
-    mistyped path (above all an old JSONL checkpoint journal) is never
+    mistyped path (above all a retired JSONL checkpoint journal) is never
     deleted or half-opened, and the error names the path.
     """
     try:
@@ -59,9 +59,8 @@ def _check_store_file(path: str) -> None:
     message = f"{path} is not a sqlite result store"
     if head.lstrip().startswith(b"{"):
         message += (
-            "; it looks like a JSONL checkpoint journal, which the store no "
-            f"longer reads: convert it with 'abe-repro migrate {path} --store "
-            "NEW.sqlite' and pass NEW.sqlite instead"
+            "; it looks like a JSONL checkpoint journal, which is no longer "
+            "read: pass a new .sqlite path and re-run the trials"
         )
     raise ValueError(message)
 
@@ -234,19 +233,6 @@ class ResultStore:
         written = self._conn.total_changes - before
         self.bytes_written += sum(len(row[3]) for row in rows[:written])
         return written
-
-    def record_payload(self, key: str, seed: int, payload: Any, version: str) -> bool:
-        """Low-level insert of an already-encoded payload under an explicit
-        version stamp (the migration path; normal recording stamps the
-        current :func:`~repro.store.fingerprint.code_version`)."""
-        before = self._conn.total_changes
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO results (key, seed, version, payload, created_at)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (str(key), int(seed), str(version), json.dumps(payload, sort_keys=True), time.time()),
-            )
-        return self._conn.total_changes > before
 
     # ------------------------------------------------------------ introspection
 

@@ -15,7 +15,7 @@ scheduling, identity clock fast path) changed no observable behaviour:
    on the faithful pre-refactor replica
    (``benchmarks/legacy_election_core.py``) produce identical fingerprints,
    metric counters included.
-3. **Unit regressions** for the new machinery: ``Simulator.reschedule``,
+3. **Unit regressions** for the new machinery: tick re-arming,
    ``SharedTickProcess``/``batch_ticks``, and summed external counters.
 """
 
@@ -49,9 +49,10 @@ from repro.core.runner import (  # noqa: E402
     run_election_on_network,
 )
 from repro.network.delays import HyperExponentialDelay, UniformDelay  # noqa: E402
-from repro.sim.engine import SimulationError, Simulator  # noqa: E402
+from repro.sim.clock import LocalClock  # noqa: E402
+from repro.sim.engine import Simulator  # noqa: E402
 from repro.sim.monitor import MetricsCollector  # noqa: E402
-from repro.sim.process import SharedTickProcess  # noqa: E402
+from repro.sim.process import SharedTickProcess, TickProcess  # noqa: E402
 
 
 class TestGoldens:
@@ -139,64 +140,61 @@ def _legacy_result(network, status, seed, a0):
     )
 
 
-class TestReschedule:
-    """The engine's zero-allocation re-arm primitive."""
+class TestTickRearm:
+    """Tick drivers re-arm with a fresh ``schedule`` call after every firing."""
 
-    def test_reschedule_reuses_the_event_record(self):
+    def test_tick_rearm_orders_like_a_fresh_schedule(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1.0, lambda: fired.append(sim.now))
-        event = handle._event
-        sim.run()
-        sim.reschedule(handle, 2.0)
-        assert handle._event is event  # same record, re-armed
-        assert not handle.fired and not handle.cancelled
-        sim.run()
-        assert fired == [1.0, 3.0]
+        TickProcess(sim, LocalClock(), lambda count: fired.append("tick"))
+        sim.run(until=1.0)
+        # The t=1 tick re-armed for t=2 before this event was scheduled, so
+        # its entry holds the earlier sequence number and fires first.
+        sim.schedule_at(2.0, lambda: fired.append("fresh"))
+        sim.run(until=2.0)
+        assert fired == ["tick", "tick", "fresh"]
 
-    def test_reschedule_orders_like_a_fresh_schedule(self):
+    def test_shared_tick_rearm_orders_like_a_fresh_schedule(self):
         sim = Simulator()
         fired = []
-        recurring = sim.schedule(1.0, lambda: fired.append("recurring"))
-        sim.run()
-        # Re-arm, then schedule a fresh event for the same instant: the
-        # re-armed entry consumed the earlier sequence number and fires first.
-        sim.reschedule(recurring, 1.0)
-        sim.schedule(1.0, lambda: fired.append("fresh"))
-        sim.run()
-        assert fired == ["recurring", "recurring", "fresh"]
+        driver = SharedTickProcess(sim, period=1.0)
+        driver.join(lambda count: fired.append("a"))
+        driver.join(lambda count: fired.append("b"))
+        sim.run(until=1.0)
+        sim.schedule_at(2.0, lambda: fired.append("fresh"))
+        sim.run(until=2.0)
+        assert fired == ["a", "b", "a", "b", "fresh"]
 
-    def test_reschedule_requires_a_fired_event(self):
+    def test_each_rearm_counts_one_scheduled_event(self):
         sim = Simulator()
-        pending = sim.schedule(1.0, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.reschedule(pending, 1.0)
-        cancelled = sim.schedule(1.0, lambda: None)
-        cancelled.cancel()
-        with pytest.raises(SimulationError):
-            sim.reschedule(cancelled, 1.0)
+        TickProcess(sim, LocalClock(), lambda count: None)
+        driver = SharedTickProcess(sim, period=1.0)
+        for _ in range(5):
+            driver.join(lambda count: None)
+        sim.run(until=3.5)
+        # Per driver: the first arm plus one re-arm per firing (3 each).
+        assert sim.events_scheduled == 2 * (1 + 3)
+        assert sim.events_processed == 2 * 3
 
-    def test_reschedule_validates_delay_and_counts(self):
-        sim = Simulator()
-        handle = sim.schedule(0.0, lambda: None)
-        sim.run()
-        scheduled_before = sim.events_scheduled
-        with pytest.raises(SimulationError):
-            sim.reschedule(handle, -1.0)
-        with pytest.raises(SimulationError):
-            sim.reschedule(handle, float("nan"))
-        sim.reschedule(handle, 1.0)
-        assert sim.events_scheduled == scheduled_before + 1
-
-    def test_rescheduled_event_can_be_cancelled(self):
+    def test_rearmed_tick_can_be_cancelled(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(0.0, lambda: fired.append(1))
+        process = TickProcess(sim, LocalClock(), fired.append)
+        sim.run(until=1.5)
+        process.stop()
         sim.run()
-        sim.reschedule(handle, 1.0)
-        assert handle.cancel() is True
+        assert fired == [0]
+        assert sim.events_processed == 1
+
+    def test_rearmed_shared_tick_can_be_cancelled(self):
+        sim = Simulator()
+        fired = []
+        member = SharedTickProcess(sim, period=1.0).join(fired.append)
+        sim.run(until=1.5)
+        member.stop()
         sim.run()
-        assert fired == [1]
+        assert fired == [0]
+        assert sim.events_processed == 1
 
 
 class TestSharedTickProcess:

@@ -1,6 +1,6 @@
 """Regression tests for the zero-overhead message path.
 
-Covers the handle-free engine fast path (``schedule_call``/``schedule_call_at``),
+Covers the handle-free engine delivery path (``schedule_call_at``),
 truthful event handles, fresh per-message envelopes, the null tracer, the
 before-event stop-predicate hook, FIFO ordering, and -- most importantly --
 bit-identity of full election runs with the values recorded on the
@@ -25,9 +25,9 @@ class TestScheduleCallFastPath:
         """Equal timestamps fire strictly in scheduling order across both APIs."""
         fired = []
         simulator.schedule(1.0, lambda: fired.append("ev-a"))
-        simulator.schedule_call(1.0, fired.append, "fast-b")
-        simulator.schedule(1.0, lambda: fired.append("ev-c"))
-        simulator.schedule_call(1.0, fired.append, "fast-d")
+        simulator.schedule_call_at(1.0, fired.append, "fast-b")
+        simulator.schedule_at(1.0, lambda: fired.append("ev-c"))
+        simulator.schedule_call_at(1.0, fired.append, "fast-d")
         simulator.run()
         assert fired == ["ev-a", "fast-b", "ev-c", "fast-d"]
 
@@ -40,7 +40,7 @@ class TestScheduleCallFastPath:
         assert fired == ["early-high", "early-low", "late"]
 
     def test_counts_as_scheduled_and_processed(self, simulator):
-        simulator.schedule_call(0.5, lambda arg: None)
+        simulator.schedule_call_at(0.5, lambda arg: None)
         simulator.schedule_call_at(1.0, lambda arg: None)
         assert simulator.events_scheduled == 2
         assert simulator.pending == 2
@@ -48,17 +48,17 @@ class TestScheduleCallFastPath:
         assert simulator.events_processed == 2
         assert simulator.now == 1.0
 
-    def test_validation_matches_schedule(self, simulator):
+    def test_validation_matches_schedule_at(self, simulator):
         with pytest.raises(SimulationError):
-            simulator.schedule_call(-0.1, lambda arg: None)
+            simulator.schedule_call_at(-0.1, lambda arg: None)
         with pytest.raises(SimulationError):
-            simulator.schedule_call(float("nan"), lambda arg: None)
-        with pytest.raises(SimulationError):
-            simulator.schedule_call(float("inf"), lambda arg: None)
+            simulator.schedule_call_at(float("nan"), lambda arg: None)
         simulator.schedule(5.0, lambda: None)
         simulator.run()
-        with pytest.raises(SimulationError):
-            simulator.schedule_call_at(1.0, lambda arg: None)
+        for schedule in (simulator.schedule_call_at, simulator.schedule_at):
+            with pytest.raises(SimulationError, match="before current time"):
+                schedule(1.0, lambda *arg: None)
+        assert simulator.events_scheduled == 1
 
     def test_respects_horizon_and_event_cap(self, simulator):
         fired = []
@@ -66,21 +66,23 @@ class TestScheduleCallFastPath:
             simulator.schedule_call_at(t, fired.append, t)
         assert simulator.run(until=5.0) == 5.0
         assert fired == [1.0, 2.0]
-        simulator.schedule_call(10.0, fired.append, "capped-out")
+        simulator.schedule_call_at(15.0, fired.append, "capped-out")
         simulator.run(max_events=1)
         assert fired == [1.0, 2.0, 8.0]
 
-    def test_step_fires_fast_entries(self, simulator):
+    def test_single_event_run_fires_fast_entries(self, simulator):
         fired = []
-        simulator.schedule_call(1.0, fired.append, "x")
-        assert simulator.step() is True
+        simulator.schedule_call_at(1.0, fired.append, "x")
+        simulator.schedule_call_at(2.0, fired.append, "y")
+        assert simulator.run(max_events=1) == 1.0
         assert fired == ["x"]
-        assert simulator.step() is False
+        assert simulator.events_processed == 1
+        assert simulator.pending == 1
 
     def test_listeners_do_not_see_fast_entries(self, simulator):
         seen = []
         simulator.add_listener(seen.append)
-        simulator.schedule_call(1.0, lambda arg: None)
+        simulator.schedule_call_at(1.0, lambda arg: None)
         simulator.schedule(2.0, lambda: None)
         simulator.run()
         assert len(seen) == 1  # only the regular event
@@ -88,7 +90,7 @@ class TestScheduleCallFastPath:
     def test_before_event_hook_sees_every_entry(self, simulator):
         ticks = []
         simulator.add_before_event(lambda: ticks.append(simulator.now))
-        simulator.schedule_call(1.0, lambda arg: None)
+        simulator.schedule_call_at(1.0, lambda arg: None)
         simulator.schedule(2.0, lambda: None)
         simulator.run()
         assert ticks == [1.0, 2.0]

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from typing import Any, List
 
 import pytest
 
 from repro.network.channel import Channel, FifoChannel
-from repro.network.delays import ConstantDelay, ExponentialDelay, UniformDelay
+from repro.network.delays import ConstantDelay, DelayDistribution, ExponentialDelay, UniformDelay
 from repro.network.messages import Envelope
 from repro.network.network import Network, NetworkConfig
 from repro.network.node import NodeProgram
 from repro.network.topology import Topology, line_topology, unidirectional_ring
+from repro.sim.engine import SimulationError
 
 
 class RecordingProgram(NodeProgram):
@@ -44,6 +46,35 @@ def two_node_network(delay, fifo=False, seed=0):
 
     def factory(uid):
         program = SenderProgram() if uid == 0 else RecordingProgram()
+        programs[uid] = program
+        return program
+
+    return Network(config, factory), programs
+
+
+class FixedDelay(DelayDistribution):
+    """Always ``value``, including values no real delay model produces."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def sample(self, rng) -> float:
+        return self.value
+
+    def mean(self) -> float:
+        return self.value
+
+
+def one_message_network(delay, processing):
+    """Node 0 sends one message to node 1, which processes it for ``processing``."""
+    topology = Topology(n=2, edges=[(0, 1)])
+    config = NetworkConfig(
+        topology=topology, delay_model=delay, processing_delay=processing, seed=0
+    )
+    programs = {}
+
+    def factory(uid):
+        program = SenderProgram(burst=1) if uid == 0 else RecordingProgram()
         programs[uid] = program
         return program
 
@@ -112,6 +143,24 @@ class TestChannelDelivery:
         network = Network(config, factory)
         network.run()
         assert programs[1].received[0][0] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("processing", [-0.5, math.nan], ids=["negative", "nan"])
+    def test_invalid_processing_delay_raises(self, processing):
+        network, programs = one_message_network(ConstantDelay(1.0), FixedDelay(processing))
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            network.run()
+        assert network.channels[0].messages_delivered == 1
+        assert programs[1].received == []
+
+    def test_infinite_processing_delay_waits_like_an_infinite_message_delay(self):
+        for delay, processing in ((FixedDelay(math.inf), None),
+                                  (ConstantDelay(1.0), FixedDelay(math.inf))):
+            network, programs = one_message_network(delay, processing)
+            network.run(until=100.0)
+            assert programs[1].received == []
+            assert network.simulator.pending == 1
+            network.run()
+            assert programs[1].received == [(math.inf, "msg-0", 0)]
 
     def test_invalid_delay_model_type_rejected_on_send(self):
         topology = Topology(n=2, edges=[(0, 1)])

@@ -148,8 +148,9 @@ class TestRunControl:
         simulator.run()
         assert fired == [1, 2]
 
-    def test_step_returns_false_on_empty_queue(self, simulator):
-        assert simulator.step() is False
+    def test_single_event_run_on_empty_queue_fires_nothing(self, simulator):
+        assert simulator.run(max_events=1) == 0.0
+        assert simulator.events_processed == 0
 
     def test_clear_drops_pending_events(self, simulator):
         simulator.schedule(1.0, lambda: None)
@@ -242,8 +243,9 @@ class TestCancellationAndListeners:
         assert simulator.now == 3.0
 
     def test_listener_cancelling_current_event_still_counts_as_step(self, simulator):
-        # run() and step() must agree: a live-popped event that a listener
-        # cancels mid-flight is a processed step whose callback is suppressed.
+        # One run and event-at-a-time runs must agree: a live-popped event
+        # that a listener cancels mid-flight is a processed step whose
+        # callback is suppressed.
         def cancel_in_flight(event):
             event.cancelled = True
 
@@ -258,7 +260,7 @@ class TestCancellationAndListeners:
         stepper.add_listener(cancel_in_flight)
         stepper.schedule(1.0, lambda: fired.append("a"))
         stepper.schedule(2.0, lambda: fired.append("b"))
-        while stepper.step():
-            pass
+        while stepper.pending:
+            stepper.run(max_events=1)
         assert stepper.events_processed == simulator.events_processed == 2
         assert fired == []

@@ -4,81 +4,97 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.events import Event, EventHandle, EventKind, make_event, next_sequence
+from repro.sim.engine import Simulator
+from repro.sim.events import Event, EventHandle, EventKind
 
 
 class TestEventOrdering:
+    """The simulator fires events by ``(time, priority, sequence)``."""
+
     def test_time_dominates_ordering(self):
-        early = make_event(1.0, lambda: None)
-        late = make_event(2.0, lambda: None)
-        assert early < late
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(2.0, lambda: fired.append("late"), priority=-1)
+        sim.schedule_at(1.0, lambda: fired.append("early"), priority=5)
+        sim.run()
+        assert fired == ["early", "late"]
 
     def test_priority_breaks_time_ties(self):
-        low = make_event(1.0, lambda: None, priority=5)
-        high = make_event(1.0, lambda: None, priority=0)
-        assert high < low
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append("low"), priority=5)
+        sim.schedule_at(1.0, lambda: fired.append("high"), priority=0)
+        sim.run()
+        assert fired == ["high", "low"]
 
     def test_sequence_breaks_remaining_ties(self):
-        first = make_event(1.0, lambda: None)
-        second = make_event(1.0, lambda: None)
-        assert first < second
-        assert first.sequence < second.sequence
+        sim = Simulator()
+        fired = []
+        first = sim.schedule(1.0, lambda: fired.append("first"))
+        second = sim.schedule_at(1.0, lambda: fired.append("second"))
+        assert first._event.sequence < second._event.sequence
+        sim.run()
+        assert fired == ["first", "second"]
 
-    def test_sequence_counter_is_monotone(self):
-        values = [next_sequence() for _ in range(10)]
-        assert values == sorted(values)
-        assert len(set(values)) == 10
+    def test_sequence_counter_is_monotone_per_simulator(self):
+        sim, other = Simulator(), Simulator()
+        seen = []
+        sim.add_listener(lambda event: seen.append(event.sequence))
+        for index in range(10):
+            other.schedule(0.0, lambda: None)  # must not perturb ``sim``
+            sim.schedule(float(index % 3), lambda: None)
+        sim.run()
+        assert sorted(seen) == list(range(10))
 
 
 class TestEventFiring:
     def test_fire_invokes_callback(self):
+        sim = Simulator()
         fired = []
-        event = make_event(0.0, lambda: fired.append(True))
-        event.fire()
+        handle = sim.schedule(0.0, lambda: fired.append(True))
+        sim.run()
         assert fired == [True]
+        assert handle.fired
 
     def test_cancelled_event_does_not_invoke_callback(self):
+        sim = Simulator()
         fired = []
-        event = make_event(0.0, lambda: fired.append(True))
-        event.cancelled = True
-        event.fire()
+        handle = sim.schedule(0.0, lambda: fired.append(True))
+        handle.cancel()
+        sim.run()
         assert fired == []
 
 
 class TestEventHandle:
     def test_handle_exposes_metadata(self):
-        event = make_event(3.5, lambda: None, kind=EventKind.TIMER, payload={"x": 1})
-        handle = EventHandle(event)
+        sim = Simulator()
+        handle = sim.schedule_at(3.5, lambda: None, kind=EventKind.TIMER, payload={"x": 1})
         assert handle.time == 3.5
         assert handle.kind is EventKind.TIMER
         assert handle.payload == {"x": 1}
         assert not handle.cancelled
 
     def test_cancel_marks_event(self):
-        event = make_event(1.0, lambda: None)
+        event = Event(1.0, 0, 0, lambda: None)
         handle = EventHandle(event)
         assert handle.cancel()
         assert event.cancelled
 
     def test_fire_marks_fired_and_cancel_then_fails(self):
-        event = make_event(1.0, lambda: None)
-        handle = EventHandle(event)
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
         assert not handle.fired
-        event.fire()
+        sim.run()
         assert handle.fired
         assert handle.cancel() is False
         assert not handle.cancelled
 
     def test_cancelled_event_never_reports_fired(self):
-        event = make_event(1.0, lambda: None)
-        handle = EventHandle(event)
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
         handle.cancel()
-        event.fire()
+        sim.run()
         assert not handle.fired
-
-    def test_sort_key_matches_ordering_fields(self):
-        event = make_event(2.0, lambda: None, priority=3)
-        assert event.sort_key == (2.0, 3, event.sequence)
 
     def test_event_kind_str(self):
         assert str(EventKind.MESSAGE_DELIVERY) == "message-delivery"
@@ -86,10 +102,12 @@ class TestEventHandle:
 
 class TestEventValidation:
     def test_default_kind_is_generic(self):
-        event = make_event(0.0, lambda: None)
-        assert event.kind is EventKind.GENERIC
+        assert Simulator().schedule(0.0, lambda: None).kind is EventKind.GENERIC
 
-    def test_dataclass_comparison_ignores_callback(self):
-        a = Event(time=1.0, priority=0, sequence=1, callback=lambda: None)
-        b = Event(time=1.0, priority=0, sequence=2, callback=lambda: 42)
-        assert a < b
+    def test_events_define_no_ordering(self):
+        # The queue orders (time, priority, sequence, ...) tuples; an Event
+        # is never compared, so it carries no comparison operators.
+        early = Event(1.0, 0, 0, lambda: None)
+        late = Event(2.0, 0, 1, lambda: None)
+        with pytest.raises(TypeError):
+            early < late

@@ -1,4 +1,4 @@
-"""Unit tests for periodic and clock-tick processes."""
+"""Unit tests for clock-tick processes."""
 
 from __future__ import annotations
 
@@ -8,58 +8,7 @@ import pytest
 
 from repro.sim.clock import ConstantRateDrift, LocalClock, RandomWalkDrift
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess, TickProcess
-
-
-class TestPeriodicProcess:
-    def test_fires_every_period(self):
-        sim = Simulator()
-        calls = []
-        PeriodicProcess(sim, period=2.0, callback=lambda i: calls.append((i, sim.now)))
-        sim.run(until=9.0)
-        assert calls == [(0, 0.0), (1, 2.0), (2, 4.0), (3, 6.0), (4, 8.0)]
-
-    def test_start_delay(self):
-        sim = Simulator()
-        calls = []
-        PeriodicProcess(sim, period=1.0, callback=lambda i: calls.append(sim.now), start_delay=3.0)
-        sim.run(until=5.5)
-        assert calls == [3.0, 4.0, 5.0]
-
-    def test_callback_returning_false_stops(self):
-        sim = Simulator()
-        calls = []
-
-        def callback(count: int):
-            calls.append(count)
-            return count < 2
-
-        process = PeriodicProcess(sim, period=1.0, callback=callback)
-        sim.run(until=20.0)
-        assert calls == [0, 1, 2]
-        assert process.stopped
-
-    def test_explicit_stop(self):
-        sim = Simulator()
-        calls = []
-        process = PeriodicProcess(sim, period=1.0, callback=lambda i: calls.append(i))
-        sim.run(until=2.5)
-        process.stop()
-        sim.run(until=10.0)
-        assert calls == [0, 1, 2]
-
-    def test_invocations_counter(self):
-        sim = Simulator()
-        process = PeriodicProcess(sim, period=1.0, callback=lambda i: None)
-        sim.run(until=4.5)
-        assert process.invocations == 5
-
-    def test_invalid_parameters(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            PeriodicProcess(sim, period=0.0, callback=lambda i: None)
-        with pytest.raises(ValueError):
-            PeriodicProcess(sim, period=1.0, callback=lambda i: None, start_delay=-1.0)
+from repro.sim.process import TickProcess
 
 
 class TestTickProcess:
@@ -117,6 +66,38 @@ class TestTickProcess:
         process.stop()
         sim.run(until=10.0)
         assert seen == [0, 1]
+
+    def test_ticks_counts_delivered_ticks(self):
+        sim = Simulator()
+        process = TickProcess(sim, LocalClock(), lambda i: None)
+        sim.run(until=4.5)
+        assert process.ticks == 4
+        process.stop()
+        sim.run(until=10.0)
+        assert process.ticks == 4
+
+    def test_stop_inside_the_callback_arms_no_further_tick(self):
+        sim = Simulator()
+        seen = []
+
+        def callback(count: int):
+            seen.append(count)
+            if count == 2:
+                process.stop()
+
+        process = TickProcess(sim, LocalClock(), callback)
+        sim.run()  # terminates: the stopped process leaves nothing queued
+        assert seen == [0, 1, 2]
+        assert process.stopped and process.ticks == 3
+        assert sim.pending == 0
+
+    def test_ticking_resumes_across_run_horizons(self):
+        sim = Simulator()
+        times = []
+        TickProcess(sim, LocalClock(), lambda i: times.append(sim.now))
+        for horizon in (1.5, 2.5, 4.5):
+            sim.run(until=horizon)
+        assert times == pytest.approx([1.0, 2.0, 3.0, 4.0])
 
     def test_custom_local_period(self):
         sim = Simulator()

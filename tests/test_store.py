@@ -1,7 +1,7 @@
 """The persistent result store: fingerprints, version gating, safe opening.
 
-Four properties under test, each of which PR 6's journal got wrong or
-lacked:
+Three properties under test, each of which the retired JSONL journal got
+wrong or lacked:
 
 * **Canonical fingerprints** -- ``spec_fingerprint`` must hash dataclass
   overrides field by field (a ``repr=False`` field must still distinguish
@@ -16,8 +16,6 @@ lacked:
   (above all an old JSONL journal) is refused with an error naming it, and
   is never deleted, even by a fresh (``--checkpoint`` without ``--resume``)
   open.
-* **Migration** -- an old JSONL journal migrated into sqlite resumes
-  byte-identically, torn lines skipped.
 """
 
 from __future__ import annotations
@@ -29,15 +27,12 @@ import pytest
 
 import repro.store.fingerprint as fingerprint_module
 from repro.experiments.parallel import SweepPool
-from repro.experiments.runner import trial_seeds
 from repro.experiments.workloads import ElectionTrial
 from repro.network.delays import ExponentialDelay
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.store import (
     ResultStore,
     code_version,
-    encode_result,
-    migrate_journal,
     spec_fingerprint,
     study_fingerprint,
 )
@@ -186,6 +181,34 @@ class TestVersionGating:
         assert fresh.lookup("key", [1]) == {1: {"metric": 2.5}}
 
 
+    def test_counts_by_version_tallies_every_stamp(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.sqlite"
+        with ResultStore(path, fresh=True) as store:
+            store.record_many("key", [(1, {"m": 1.0}), (2, {"m": 2.0})])
+        old = code_version()
+        monkeypatch.setattr(
+            fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
+        )
+        with ResultStore(path) as upgraded:
+            upgraded.record("key", 1, {"m": 3.0})
+            assert upgraded.counts_by_version() == {old: 2, "99.0.0+gdeadbeefdead": 1}
+            assert len(upgraded) == 1  # current-version rows only
+
+    def test_allow_stale_still_prefers_the_current_row(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.sqlite"
+        with ResultStore(path, fresh=True) as store:
+            store.record_many("key", [(1, {"m": 1.0}), (2, {"m": 2.0})])
+        monkeypatch.setattr(
+            fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
+        )
+        with ResultStore(path) as upgraded:
+            upgraded.record("key", 1, {"m": 3.0})
+        with ResultStore(path, allow_stale=True) as stale_ok:
+            assert stale_ok.lookup("key", [1, 2]) == {1: {"m": 3.0}, 2: {"m": 2.0}}
+            assert len(stale_ok) == 2  # one per (key, seed), whatever the versions
+            assert ("key", 2) in stale_ok
+
+
 class TestAllowStaleCLIWiring:
     def test_flag_threads_into_the_checkpoint_store(self, tmp_path):
         from repro.cli import build_parser
@@ -219,7 +242,8 @@ class TestStorePathValidation:
         with pytest.raises(ValueError) as info:
             ResultStore(journal, fresh=fresh)
         message = str(info.value)
-        assert str(journal) in message and "abe-repro migrate" in message
+        assert str(journal) in message and "JSONL checkpoint journal" in message
+        assert "\n" not in message and "migrate" not in message
         assert journal.read_bytes() == before  # never removed, never touched
 
     def test_garbage_file_is_refused_with_its_path(self, tmp_path):
@@ -251,7 +275,8 @@ class TestStorePathValidation:
         with pytest.raises(SystemExit) as info:
             main(argv + (["--resume"] if resume else []))
         message = str(info.value.code)
-        assert "\n" not in message and "abe-repro migrate" in message
+        assert "\n" not in message and "JSONL checkpoint journal" in message
+        assert "migrate" not in message
         assert journal.read_bytes() == before
 
 
@@ -281,10 +306,9 @@ class TestResultStore:
             assert len(fresh) == 0
 
     def test_records_a_vector_core_election_won_by_the_last_node(self, tmp_path):
-        """The crowning token of node n-1 starts in the vector core's int64
-        destination column, so its uid must be converted to a Python int:
-        the codec refuses ``numpy.int64``, and ``record_many`` would skip the
-        row silently, re-executing the trial on every warm run."""
+        """The crowned uid must reach the result as a Python int: the codec
+        refuses ``numpy.int64``, and ``record_many`` would skip the row
+        silently, re-executing the trial on every warm run."""
         from repro.core.runner import run_election
 
         result = run_election(8, seed=7, core="vector")
@@ -305,58 +329,3 @@ class TestResultStore:
         with ResultStore(path) as store:
             resumed = SweepPool(store=store).monte_carlo(bomb, trials=4, base_seed=9, key="point")
         assert resumed == first
-
-
-# =================================================================== migration
-
-
-class TestMigration:
-    def test_jsonl_to_sqlite_resumes_byte_identically(self, tmp_path):
-        journal_path = tmp_path / "old.jsonl"
-        trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        seeds = trial_seeds(9, 4)
-        first = [trial(seed) for seed in seeds]
-        with open(journal_path, "w", encoding="utf-8") as handle:
-            for seed, result in zip(seeds, first):  # the journal's line shape
-                record = {"key": "point", "seed": seed, "result": encode_result(result),
-                          "version": code_version()}
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        with ResultStore(tmp_path / "new.sqlite") as store:
-            report = migrate_journal(journal_path, store)
-            assert report.migrated == 4 and report.duplicates == 0
-
-            def bomb(seed):
-                raise AssertionError("migrated store must satisfy every lookup")
-
-            resumed = SweepPool(store=store).monte_carlo(bomb, trials=4, base_seed=9, key="point")
-        assert resumed == first  # bit-identical aggregates through sqlite
-
-    def test_versionless_pr6_lines_migrate_as_unversioned(self, tmp_path, capsys):
-        journal_path = tmp_path / "old.jsonl"
-        seeds = trial_seeds(9, 2)
-        with open(journal_path, "w", encoding="utf-8") as handle:
-            for seed in seeds:  # the PR 6 line shape: no "version" field
-                handle.write(
-                    json.dumps({"key": "point", "seed": seed, "result": {"m": 1.0}}) + "\n"
-                )
-        store_path = tmp_path / "new.sqlite"
-        with ResultStore(store_path) as store:
-            report = migrate_journal(journal_path, store)
-            assert report.migrated == 2
-            assert store.counts_by_version() == {"unversioned": 2}
-            # Unversioned entries are visible but never silently served...
-            assert store.lookup("point", seeds) == {}
-        capsys.readouterr()
-        with ResultStore(store_path, allow_stale=True) as store:
-            # ...unless the operator opts in.
-            assert len(store.lookup("point", seeds)) == 2
-
-    def test_assume_version_promotes_versionless_lines(self, tmp_path):
-        journal_path = tmp_path / "old.jsonl"
-        with open(journal_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"key": "k", "seed": 1, "result": {"m": 1.0}}) + "\n")
-            handle.write("torn line that does not parse\n")
-        with ResultStore(tmp_path / "new.sqlite") as store:
-            report = migrate_journal(journal_path, store, assume_version=code_version())
-            assert report.migrated == 1 and report.skipped_lines == 1
-            assert store.lookup("k", [1]) == {1: {"m": 1.0}}  # served as current

@@ -205,22 +205,15 @@ class TestServeCLI:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_migrate_cli_round_trip(self, tmp_path, capsys):
-        from repro.store import code_version
-
+    def test_migrate_is_not_a_subcommand(self, tmp_path, capsys):
         journal = tmp_path / "journal.jsonl"
-        with open(journal, "w", encoding="utf-8") as handle:
-            for seed, value in ((1, 1.0), (2, 2.0)):
-                line = {"key": "key", "seed": seed, "result": {"m": value},
-                        "version": code_version()}
-                handle.write(json.dumps(line) + "\n")
+        journal.write_text('{"key": "k", "result": {"m": 1.0}, "seed": 1}\n')
         store = tmp_path / "store.sqlite"
-        assert main(["migrate", str(journal), "--store", str(store)]) == 0
-        assert "migrated 2 result(s)" in capsys.readouterr().out
-        assert main(["migrate", str(journal), "--store", str(store)]) == 0
-        assert "migrated 0 result(s) (2 already present" in capsys.readouterr().out
-        with ResultStore(store) as reopened:
-            assert len(reopened) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["migrate", str(journal), "--store", str(store)])
+        assert info.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_serve_refuses_a_jsonl_journal_as_store(self, tmp_path, capsys):
         spec_path = tmp_path / "study.json"
@@ -228,7 +221,7 @@ class TestServeCLI:
         journal = tmp_path / "old.jsonl"
         journal.write_text('{"key": "k", "result": {"m": 1.0}, "seed": 1}\n')
         before = journal.read_bytes()
-        with pytest.raises(SystemExit, match="abe-repro migrate"):
+        with pytest.raises(SystemExit, match="JSONL checkpoint journal"):
             main(["serve", str(spec_path), "--store", str(journal)])
         assert journal.read_bytes() == before
 

@@ -10,12 +10,41 @@ with the object core is covered by ``tests/test_property_vector_core.py``.
 
 from __future__ import annotations
 
+import heapq
+
+import numpy as np
 import pytest
 
-from repro.core.runner import ELECTION_CORES, run_election
+from repro.core.runner import ELECTION_CORES, ElectionResult, run_election
 from repro.sim.engine import SimulationDiverged
-from repro.core.vector_core import run_vector_election
+from repro.core.vector_core import VectorRingElection, run_vector_election
 from repro.network.delays import ConstantDelay, ExponentialDelay, UniformDelay
+
+
+#: Full results recorded before the pending-arrival store became one tuple
+#: heap.  Any change to the heap layout, tie order (push order at equal
+#: times) or stream consumption moves at least one of these.
+SAMPLE_PATH_PINS = [
+    ("exponential-n8", dict(n=8, seed=1),
+     ElectionResult(8, True, 5, 41.56268562442386, 72, 7, 20, 99, 0, 113, 1, 0.3, 1)),
+    ("exponential-n64", dict(n=64, seed=2),
+     ElectionResult(64, True, 50, 1751.3950775447413, 4992, 63, 392, 5453, 0, 6743, 2, 0.3, 1)),
+    ("exponential-n1000", dict(n=1000, a0=0.001, seed=3),
+     ElectionResult(1000, True, 570, 88973.18573246818, 291000, 999, 1308, 337894, 0,
+                    379973, 3, 0.001, 1)),
+    ("constant-ties", dict(n=64, a0=0.02, seed=4, delay=ConstantDelay(1.0)),
+     ElectionResult(64, True, 58, 775.0, 1536, 63, 63, 2369, 0, 2311, 4, 0.02, 1)),
+    ("fifo", dict(n=64, seed=5, fifo=True),
+     ElectionResult(64, True, 21, 1471.7098128464738, 4096, 63, 301, 4513, 0, 5567, 5, 0.3, 1)),
+    ("loss", dict(n=16, a0=0.1, seed=6, message_loss=0.05),
+     ElectionResult(16, False, None, None, 46, 13, 14, 192, 0, 88, 6, 0.1, 0)),
+    ("processing", dict(n=64, seed=7, processing_delay=ExponentialDelay(mean=0.2)),
+     ElectionResult(64, True, 44, 2780.4895802452565, 7168, 63, 582, 9170, 0, 9948, 7, 0.3, 1)),
+    ("crash", dict(n=64, seed=8, crashes=[(1, 3.0)]),
+     ElectionResult(64, False, None, None, 516, 51, 162, 1382, 0, 597, 8, 0.3, 0)),
+    ("purge-off", dict(n=16, a0=0.1, seed=9, purge_at_active=False, max_events=20000),
+     ElectionResult(16, False, None, None, 19993, 16, 7, 66, 19911, 20000, 9, 0.1, 0)),
+]
 
 
 class TestDeterminism:
@@ -31,6 +60,68 @@ class TestDeterminism:
             for seed in range(8)
         }
         assert len(results) > 1
+
+
+class TestSamplePathPins:
+    """Exact results per seed: the vector core's sample path is frozen."""
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [case[1:] for case in SAMPLE_PATH_PINS],
+        ids=[case[0] for case in SAMPLE_PATH_PINS],
+    )
+    def test_result_matches_pin(self, kwargs, expected):
+        assert run_vector_election(**kwargs) == expected
+
+
+class TestArrivalHeap:
+    """Pending arrivals are one heap of ``(time, seq, hop, dst)`` tuples."""
+
+    def test_activation_round_pushes_ties_in_array_order(self):
+        election = VectorRingElection(5, delay=ConstantDelay(1.0), seed=0)
+        election._activate_batch(np.array([0, 2, 4]), 0.0)
+        # Equal arrival times pop by push order; node 4's successor wraps to 0.
+        assert [heapq.heappop(election._heap) for _ in range(3)] == [
+            (1.0, 0, 1, 1),
+            (1.0, 1, 1, 3),
+            (1.0, 2, 1, 0),
+        ]
+        assert election._seq == 3
+        assert election.activations == election.messages_total == 3
+        assert election._idle_count == 2 and election._active_count == 3
+
+    def test_time_dominates_the_push_order(self):
+        election = VectorRingElection(5, delay=ConstantDelay(1.0), seed=0)
+        election._activate_batch(np.array([3]), 0.5)
+        election._activate_batch(np.array([0, 1]), 0.0)
+        assert [heapq.heappop(election._heap) for _ in range(3)] == [
+            (1.0, 1, 1, 1),
+            (1.0, 2, 1, 2),
+            (1.5, 0, 1, 4),
+        ]
+
+    def test_processing_delay_lands_on_the_pushed_arrival(self):
+        election = VectorRingElection(
+            4, delay=ConstantDelay(1.0), processing_delay=ConstantDelay(0.25), seed=0
+        )
+        election._activate_batch(np.array([1, 3]), 2.0)
+        assert sorted(election._heap) == [(3.25, 0, 1, 2), (3.25, 1, 1, 0)]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [case[1] for case in SAMPLE_PATH_PINS],
+        ids=[case[0] for case in SAMPLE_PATH_PINS],
+    )
+    def test_every_message_is_one_heap_entry(self, kwargs):
+        kwargs = dict(kwargs)
+        max_events = kwargs.pop("max_events", None)
+        election = VectorRingElection(**kwargs)
+        result = election.run(max_events=max_events)
+        # One push per message sent; each push is delivered (dropped and
+        # crashed-destination arrivals included) or still pending.
+        assert election._seq == result.messages_total
+        assert election.deliveries + len(election._heap) == election._seq
+        assert result.events_processed == election.rounds + election.deliveries
 
 
 class TestInvariants:
