@@ -1,8 +1,8 @@
 """Benchmark / regeneration of experiment E1 (message complexity is linear).
 
-Reduced parameters relative to the EXPERIMENTS.md run (fewer trials, sizes up
-to 96) so the benchmark suite stays fast; the asserted findings are the ones
-the paper's claim rests on.
+Reduced parameters relative to the experiment's default run (fewer trials,
+sizes up to 96) so the benchmark suite stays fast; the asserted findings are
+the ones the paper's claim rests on.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Microbenchmark of the discrete-event engine hot path.
 
-Unlike the experiment benchmarks (which regenerate EXPERIMENTS.md tables),
+Unlike the experiment benchmarks (which regenerate experiment tables),
 this file measures raw engine throughput: a self-scheduling callback chain
 that exercises exactly the schedule/heap/fire cycle every election run spends
 its time in.  It also runs the same workload on the seed engine replica

@@ -1,18 +1,16 @@
-"""End-to-end experiment-suite benchmark: old defaults vs fast defaults.
+"""End-to-end experiment-suite benchmark: fixed trial counts vs adaptive stopping.
 
-Everything earlier benchmarks measure in isolation (engine, message path,
-election core) lands here as one number: the wall clock of a
-reduced E1 + E3 workload run through the *experiment harness itself*, exactly
-as ``scripts/run_all_experiments.py`` would run it.
+Everything earlier benchmarks measure in isolation (engine, message path)
+lands here as one number: the wall clock of a reduced E1 + E3 workload run
+through the *experiment harness itself*, exactly as
+``scripts/run_all_experiments.py`` would run it.
 
-Two modes are compared:
+Two modes are compared, both on the one election core:
 
 ``legacy``
-    The old defaults, reproduced via ``election_overrides``: one heap entry
-    per node and tick (``batch_ticks=False``) and the fixed Monte-Carlo
-    trial count.
+    The fixed Monte-Carlo trial count.
 ``fast``
-    The shipped default (per-instant tick bucketing) plus adaptive stopping
+    Adaptive stopping
     (:class:`~repro.experiments.runner.AdaptiveStopping`): each sweep point
     stops as soon as its target-metric mean is known to within
     ``CI_TOLERANCE`` at 95% confidence, bounded by the same trial budget the
@@ -50,9 +48,6 @@ from repro.experiments.runner import AdaptiveStopping
 #: (growth order, trade-off direction) is stable across re-runs.
 CI_TOLERANCE = 0.25
 
-#: The old per-node tick mode, spelled explicitly.
-LEGACY_OVERRIDES = {"batch_ticks": False}
-
 #: Reduced E1 + E3 workloads.  ``trials`` is both the legacy mode's fixed
 #: count and the fast mode's budget (``max_trials``), so the comparison can
 #: only win by stopping early, never by sampling a cheaper configuration.
@@ -78,28 +73,26 @@ def _workload(quick: bool) -> dict:
 
 
 def run_legacy(quick: bool = False) -> float:
-    """Seconds for the reduced E1+E3 suite under the pre-PR-4 defaults."""
+    """Seconds for the reduced E1+E3 suite at its fixed trial counts."""
     w = _workload(quick)
     started = time.perf_counter()
     e1_message_complexity.run(
         sizes=w["sizes"],
         trials=w["trials"],
         base_seed=E1_SEED,
-        election_overrides=dict(LEGACY_OVERRIDES),
     )
     e3_activation_parameter.run(
         n=w["e3_n"],
         multipliers=w["multipliers"],
         trials=w["trials"],
         base_seed=E3_SEED,
-        election_overrides=dict(LEGACY_OVERRIDES),
     )
     return time.perf_counter() - started
 
 
 def run_fast(quick: bool = False) -> tuple:
-    """(seconds, e1_trials_executed, e3_trials_executed) under fast defaults
-    plus adaptive stopping."""
+    """(seconds, e1_trials_executed, e3_trials_executed) under adaptive
+    stopping."""
     w = _workload(quick)
     rule = AdaptiveStopping(ci_tolerance=CI_TOLERANCE, min_trials=8, batch_size=8)
     started = time.perf_counter()

@@ -1,21 +1,21 @@
 """Microbenchmark of the columnar election engine (ticks/sec vs object core).
 
-Same workload as :mod:`bench_election_core` -- a small base activation
-parameter stretches the idle-ticking phase, so throughput is dominated by
-the per-round coin machinery the vectorization replaces: one uniform block
-per activation round compared against the probability column instead of one
-Python-level draw per idle node per tick.
+A small base activation parameter stretches the idle-ticking phase, so the
+vector core's throughput is dominated by its per-round coin machinery: one
+uniform block per activation round compared against the probability column.
+The object core counts the same ticks in closed form (one activation timer
+per idle spell).
 
 ``test_bench_vector_core_speedup_vs_object`` gates the vector core at
 >= 3x the object core's default-path ticks/sec (``VECTOR_SPEEDUP_GATE``
-overrides; CI sets it lower because shared runners are noisy).  The object
-side runs its *fast* default (``batch_ticks`` on), so the gate measures the columnar engine against the best object-core
-configuration, not a strawman.
+overrides; CI sets it lower because shared runners are noisy) against the
+object core's only path.
 
 The two engines draw from different random streams by design (see the
 stream-migration note in ``tests/harness/differential.py``), so unlike the
 legacy-replica benches there is no bit-identical precondition; the semantic
-equivalence is covered by ``tests/test_property_vector_core.py``.
+equivalence is covered by ``tests/test_property_vector_core.py`` and
+``tests/oracles/test_activation_parity.py``.
 
 Run with ``pytest benchmarks/bench_vector_core.py --benchmark-disable``.
 """
@@ -28,8 +28,8 @@ import time
 from repro.core.runner import run_election
 from repro.core.vector_core import run_vector_election
 
-#: Same tuning as bench_election_core: a few tens of thousands of ticks per
-#: run -- enough to dwarf construction, small enough for CI.
+#: A few tens of thousands of ticks per run -- enough to dwarf construction,
+#: small enough for CI.
 RING_SIZE = 64
 A0 = 0.02
 SEEDS = (1, 2, 3)
@@ -52,7 +52,6 @@ def vector_ticks_per_second() -> float:
 
 
 def object_ticks_per_second() -> float:
-    # Library defaults = the fast object path (batched sampling and ticks).
     return _ticks_per_second(run_election)
 
 

@@ -1,13 +1,14 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one experiment of EXPERIMENTS.md: it runs the
-experiment harness once (pytest-benchmark measures that single run), prints
-the resulting table -- the same rows EXPERIMENTS.md records -- and asserts the
+Every benchmark regenerates one experiment of ``repro.experiments``: it runs
+the experiment harness once (pytest-benchmark measures that single run),
+prints the resulting table -- the same rows the experiment module's default
+run reports -- and asserts the
 experiment's key findings so a regression in the reproduced claim fails the
 benchmark run, not just changes a number silently.
 
-Benchmarks use reduced trial counts / sizes compared to the EXPERIMENTS.md
-defaults so that ``pytest benchmarks/ --benchmark-only`` finishes in minutes
+Benchmarks use reduced trial counts / sizes compared to the experiment
+modules' defaults so that ``pytest benchmarks/ --benchmark-only`` finishes in minutes
 on a laptop; the experiment modules' default parameters regenerate the full
 tables.
 """

@@ -6,7 +6,7 @@ Usage::
     python scripts/bench_report.py [--quick] [--output BENCH_engine.json]
                                    [--workers N]
 
-Eight measurements, all derived from the workloads the experiments actually
+Seven measurements, all derived from the workloads the experiments actually
 run:
 
 ``engine``
@@ -17,25 +17,17 @@ run:
     Messages/sec of a relay workload on the real network stack (slotted
     envelopes, handle-free delivery scheduling, null tracer) vs the
     pre-optimization replica (``benchmarks/legacy_message_path.py``).
-``election_core``
-    Ticks/sec of tick-dominated elections on the live election core (plain
-    integer counters, cached activation probability, allocation-free tick
-    rescheduling, identity clock fast path) vs the pre-refactor replica
-    (``benchmarks/legacy_election_core.py``), plus the opt-in ``batch_ticks``
-    shared-round-driver mode.
 ``vector_core``
     Ticks/sec of the columnar numpy engine (``repro.core.vector_core``) vs
-    the object core on its fast defaults, on the same tick-dominated
-    workload (``benchmarks/bench_vector_core.py``; different deterministic
-    random streams by design, so throughput -- not trajectories -- is
-    compared).
+    the object core on a tick-dominated workload
+    (``benchmarks/bench_vector_core.py``; different deterministic random
+    streams by design, so throughput -- not trajectories -- is compared).
 ``trials``
     Monte-Carlo election trials/sec serially and fanned across worker
     processes via :class:`repro.experiments.parallel.SweepPool`.
 ``experiments_e2e``
-    Wall clock of a reduced E1+E3 experiment-suite run: the old defaults
-    (per-node ticks, fixed trial counts) vs the shipped fast default plus
-    adaptive Monte-Carlo stopping
+    Wall clock of a reduced E1+E3 experiment-suite run: fixed trial counts
+    vs adaptive Monte-Carlo stopping
     (``benchmarks/bench_experiments_e2e.py``, gated >= 2x there).
 ``sweep_pool``
     Wall clock of a multi-size election sweep forking a fresh pool per ring
@@ -81,12 +73,6 @@ from repro.experiments.runner import trial_seeds  # noqa: E402
 from repro.experiments.workloads import ElectionTrial, election_trials  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
-from bench_election_core import (  # noqa: E402
-    A0 as ELECTION_CORE_A0,
-    RING_SIZE as ELECTION_CORE_RING,
-    legacy_ticks_per_second,
-    live_ticks_per_second,
-)
 from bench_engine_microbench import events_per_second  # noqa: E402
 from bench_experiments_e2e import measure as measure_experiments_e2e  # noqa: E402
 from bench_message_path import (  # noqa: E402
@@ -94,6 +80,8 @@ from bench_message_path import (  # noqa: E402
     optimized_messages_per_second,
 )
 from bench_vector_core import (  # noqa: E402
+    A0 as VECTOR_CORE_A0,
+    RING_SIZE as VECTOR_CORE_RING,
     object_ticks_per_second,
     vector_ticks_per_second,
 )
@@ -155,39 +143,9 @@ def bench_message_path(messages: int, repeats: int) -> dict:
     }
 
 
-def bench_election_core(repeats: int) -> dict:
-    # Interleave live / legacy / batched so CPU frequency drift hits all
-    # three equally.  The workload (tick-dominated elections; see
-    # benchmarks/bench_election_core.py) is identical across the three
-    # modes, and live-vs-legacy bit-identity is asserted by the differential
-    # tests before these numbers mean anything.
-    live_runs = []
-    legacy_runs = []
-    batched_runs = []
-    for _ in range(repeats):
-        live_runs.append(live_ticks_per_second())
-        legacy_runs.append(legacy_ticks_per_second())
-        batched_runs.append(live_ticks_per_second(batch_ticks=True))
-    live = max(live_runs)
-    legacy = max(legacy_runs)
-    batched = max(batched_runs)
-    return {
-        "ring_size": ELECTION_CORE_RING,
-        "a0": ELECTION_CORE_A0,
-        "ticks_per_sec": round(live),
-        "legacy_ticks_per_sec": round(legacy),
-        "speedup_vs_legacy": round(live / legacy, 2),
-        "batch_ticks_per_sec": round(batched),
-        "batch_ticks_speedup": round(batched / live, 2),
-        "peak_mem_mb": peak_memory_mb(live_ticks_per_second),
-    }
-
-
 def bench_vector_core(repeats: int) -> dict:
-    # Interleave vector / object so CPU frequency drift hits both equally.
-    # Same workload as bench_election_core; the object side runs its fast
-    # defaults, so the speedup measures the columnar engine against the best
-    # object-core configuration (see benchmarks/bench_vector_core.py).
+    # Interleave vector / object so CPU frequency drift hits both equally
+    # (workload: benchmarks/bench_vector_core.py).
     vector_runs = []
     object_runs = []
     for _ in range(repeats):
@@ -196,8 +154,8 @@ def bench_vector_core(repeats: int) -> dict:
     vector = max(vector_runs)
     obj = max(object_runs)
     return {
-        "ring_size": ELECTION_CORE_RING,
-        "a0": ELECTION_CORE_A0,
+        "ring_size": VECTOR_CORE_RING,
+        "a0": VECTOR_CORE_A0,
         "ticks_per_sec": round(vector),
         "object_ticks_per_sec": round(obj),
         "speedup_vs_object": round(vector / obj, 2),
@@ -342,13 +300,6 @@ def main() -> int:
         f"  {message_path['messages_per_sec']:,} messages/sec "
         f"({message_path['speedup_vs_legacy']}x vs legacy path)"
     )
-    print("benchmarking election core ...", flush=True)
-    election_core = bench_election_core(repeats)
-    print(
-        f"  {election_core['ticks_per_sec']:,} ticks/sec "
-        f"({election_core['speedup_vs_legacy']}x vs legacy core, "
-        f"batch_ticks {election_core['batch_ticks_speedup']}x)"
-    )
     print("benchmarking vector core ...", flush=True)
     vector_core = bench_vector_core(repeats)
     print(
@@ -395,7 +346,6 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "engine": engine,
         "message_path": message_path,
-        "election_core": election_core,
         "vector_core": vector_core,
         "experiments_e2e": experiments_e2e,
         "trials": trials,

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Run every experiment at its default (EXPERIMENTS.md) scale and save a report.
+"""Run every experiment at its default scale and save a report.
 
 Usage::
 
     python scripts/run_all_experiments.py [output_path] [--workers N]
 
 The output is the concatenation of every experiment's rendered tables and
-findings -- the source material for EXPERIMENTS.md.  ``--workers`` fans each
-experiment's Monte-Carlo trials across processes; because trials are pure
-functions of their derived seeds, the report is byte-identical for any worker
-count (only the wall-clock changes).
+findings (one module per experiment under ``repro.experiments``).
+``--workers`` fans each experiment's Monte-Carlo trials across processes;
+because trials are pure functions of their derived seeds, the report is
+byte-identical for any worker count (only the wall-clock changes).
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ Installed as the ``abe-repro`` console script.  Eight sub-commands:
 
 ``abe-repro experiment <id>``
     Run one of the experiments (e1..e8, a1, a2) with optionally reduced trial
-    counts and print its tables -- the same tables EXPERIMENTS.md records.
+    counts and print its tables (one module per experiment under
+    :mod:`repro.experiments`).
 
 ``abe-repro scenario <spec.json>``
     Run a declarative scenario (or study) spec file through

@@ -11,17 +11,18 @@ scripted churn of :mod:`repro.network.churn` three new things must work:
   bounds are exactly what makes a meaningful timeout computable.
 * **Re-elections must not be confused by stale state.**  Every token is an
   :class:`EpochHopMessage`; a node that suspects the leader bumps its epoch,
-  resets to idle with ``d = 1`` and resumes ticking.  Stale-epoch tokens are
-  purged on receipt, higher-epoch tokens are adopted (the adopter also resets
-  ``d = 1`` -- a late joiner carrying an inflated ``d`` could otherwise
-  forward ``hop > n`` counters and crown nobody, or worse, crown early).  A
+  resets to idle with ``d = 1`` and starts a fresh idle spell.  Stale-epoch
+  tokens are purged on receipt, higher-epoch tokens are adopted (the adopter
+  also resets ``d = 1`` -- a late joiner carrying an inflated ``d`` could
+  otherwise forward ``hop > n`` counters and crown nobody, or worse, crown
+  early).  A
   leader receiving a *foreign* same-epoch heartbeat has found a split brain
   and steps down into a fresh epoch (its own heartbeats never return: they
   carry ``ttl = n - 1``).
 * **Recovered nodes re-enter as candidates.**  The scheduled injector calls
   ``on_recover()`` after restoring delivery: the program resets to idle with
-  ``d = 1`` in its current epoch and resumes ticking, exactly the non-leader
-  re-entry the dynamic-network arc asks for.
+  ``d = 1`` in its current epoch and starts ticking again on a fresh grid,
+  exactly the non-leader re-entry the dynamic-network arc asks for.
 
 One structural consequence of the ring (worth internalizing before reading
 stabilization numbers): while *any* node is crashed the ring is partitioned --
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.activation import ActivationSchedule, AdaptiveActivation
+from repro.core.analysis import recommended_a0
 from repro.core.election import NodeState, ElectionStatus, AbeElectionProgram, RING_PORT
 from repro.core.messages import HopMessage
 from repro.core.runner import ElectionResult, _default_max_events
@@ -48,7 +50,6 @@ from repro.network.delays import DelayDistribution, ExponentialDelay
 from repro.network.network import Network, NetworkConfig
 from repro.network.topology import unidirectional_ring
 from repro.sim.clock import ClockDriftModel
-from repro.sim.process import SharedTickProcess
 
 __all__ = [
     "EpochHopMessage",
@@ -131,7 +132,6 @@ class ChurnAwareElectionProgram(AbeElectionProgram):
         schedule: Optional[ActivationSchedule] = None,
         tick_period: float = 1.0,
         purge_at_active: bool = True,
-        tick_driver: Optional[SharedTickProcess] = None,
     ) -> None:
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
@@ -163,8 +163,9 @@ class ChurnAwareElectionProgram(AbeElectionProgram):
     def on_crash(self) -> bool:
         """Injector hook: freeze local state; returns whether we led.
 
-        Called after the injector installed the delivery swallow and stopped
-        our ticks.  Timers must be cancelled here -- a liveness timer firing
+        Called after the injector installed the delivery swallow and halted
+        the program (no ticks, no pending activation).  Timers must be
+        cancelled here -- a liveness timer firing
         on a crashed node would bump epochs from beyond the grave.
         """
         self.crashed = True
@@ -189,7 +190,7 @@ class ChurnAwareElectionProgram(AbeElectionProgram):
         self.d = 1
         self._probability = self.schedule.probability(1)
         self.trace("rejoin", state=str(self.state), epoch=self.epoch)
-        self._start_ticking()
+        self._begin_idle_spell()
 
     # ----------------------------------------------------------------- epochs
 
@@ -202,10 +203,13 @@ class ChurnAwareElectionProgram(AbeElectionProgram):
         self._probability = self.schedule.probability(1)
         if self.state is NodeState.LEADER:
             self._step_down("stale-leader")
-        elif self.state is not NodeState.IDLE:
+            return
+        if self.state is not NodeState.IDLE:
             self.state = NodeState.IDLE
             self.trace("state", state=str(self.state), d=self.d, epoch=epoch)
-            self._start_ticking()
+        # A new spell also for a node that was idle: resetting d changed its
+        # activation probability.
+        self._begin_idle_spell()
 
     def _bump_epoch(self) -> None:
         """Open a fresh epoch after suspecting the leader (or a split brain)."""
@@ -220,7 +224,7 @@ class ChurnAwareElectionProgram(AbeElectionProgram):
         else:
             self.state = NodeState.IDLE
             self.trace("suspect", state=str(self.state), epoch=self.epoch)
-            self._start_ticking()
+            self._begin_idle_spell()
 
     def _step_down(self, reason: str) -> None:
         """Leader -> idle: a higher epoch or a split brain deposed us."""
@@ -233,7 +237,7 @@ class ChurnAwareElectionProgram(AbeElectionProgram):
         self.trace("depose", reason=reason, epoch=self.epoch)
         if self.monitor is not None:
             self.monitor.record_deposed(self.now, node.uid)
-        self._start_ticking()
+        self._begin_idle_spell()
 
     # ------------------------------------------------------------- heartbeats
 
@@ -290,22 +294,6 @@ class ChurnAwareElectionProgram(AbeElectionProgram):
         self.trace("leader-timeout", epoch=self.epoch)
         self._bump_epoch()
 
-    # ----------------------------------------------------------------- ticking
-
-    def _start_ticking(self) -> None:
-        """(Re-)join the tick stream after stop_ticks (knock-out, crash, ...)."""
-        process = self._tick_process
-        if process is not None and not process.stopped:
-            return
-        if self.tick_driver is not None:
-            self._tick_process = self.tick_driver.join(
-                self._on_tick,
-                clock=self._require_node().clock,
-                period=self.tick_period,
-            )
-        else:
-            self.start_ticks(self._on_tick, local_period=self.tick_period)
-
     # ------------------------------------------------------------ state machine
 
     def _activate(self) -> None:
@@ -314,12 +302,13 @@ class ChurnAwareElectionProgram(AbeElectionProgram):
         self.status.activations += 1
         self.trace("state", state=str(self.state), d=self.d, epoch=self.epoch)
         self.send(RING_PORT, EpochHopMessage(hop=1, epoch=self.epoch))
-        # An active node does not tick, so if its token dies on the wire (a
-        # crash swallow, a cut link, a stale-epoch purge at a node that moved
-        # on) nothing would ever wake it again: every node active with every
-        # token lost is a deadlock the static algorithm cannot reach but churn
-        # can.  Arming the liveness timer on activation closes it -- a
-        # stranded active node suspects, bumps its epoch and resumes ticking.
+        # An active node has no activation armed, so if its token dies on the
+        # wire (a crash swallow, a cut link, a stale-epoch purge at a node
+        # that moved on) nothing would ever wake it again: every node active
+        # with every token lost is a deadlock the static algorithm cannot
+        # reach but churn can.  Arming the liveness timer on activation
+        # closes it -- a stranded active node suspects, bumps its epoch and
+        # starts a fresh idle spell.
         self._arm_liveness()
 
     def on_receive(self, payload, port: int) -> None:
@@ -389,7 +378,7 @@ def build_churn_election_network(
     n: int,
     *,
     script: FaultScript,
-    a0: float = 0.3,
+    a0: Optional[float] = None,
     delay: Optional[DelayDistribution] = None,
     seed: int = 0,
     schedule: Optional[ActivationSchedule] = None,
@@ -402,7 +391,6 @@ def build_churn_election_network(
     enable_trace: bool = False,
     validate_model: bool = True,
     expected_delay_bound: Optional[float] = None,
-    batch_ticks: bool = True,
     heartbeat_interval: Optional[float] = None,
     leader_timeout: Optional[float] = None,
     faults: tuple = (),
@@ -411,17 +399,19 @@ def build_churn_election_network(
     ``(network, status, injector, monitor)``.
 
     Mirrors :func:`repro.core.runner.build_election_network` and accepts the
-    same model knobs.  ``heartbeat_interval``/``leader_timeout`` resolve by
-    precedence: explicit argument, then the script's attributes, then the ABE
-    model's :meth:`~repro.models.abe.ABEModel.churn_timeouts` derived from
-    the actual delay/processing/clock configuration.  ``faults`` takes
+    same model knobs (``a0=None`` means ``recommended_a0(n)``).
+    ``heartbeat_interval``/``leader_timeout`` resolve by precedence: explicit
+    argument, then the script's attributes, then the ABE model's
+    :meth:`~repro.models.abe.ABEModel.churn_timeouts` derived from the
+    actual delay/processing/clock configuration.  ``faults`` takes
     additional *static* fault specifications (message loss); crash-stop
     faults belong in the script, where they pair with recoveries.
     """
     if n < 2:
         raise ValueError(f"the election algorithm needs a ring of size n >= 2, got {n}")
     delay_model = delay if delay is not None else ExponentialDelay(mean=1.0)
-    schedule = schedule if schedule is not None else AdaptiveActivation(a0)
+    if schedule is None:
+        schedule = AdaptiveActivation(recommended_a0(n) if a0 is None else a0)
     status = ChurnElectionStatus()
 
     config = NetworkConfig(
@@ -481,10 +471,6 @@ def build_churn_election_network(
 
     network = Network(config, program_factory)
     monitor.attach(network)
-    if batch_ticks:
-        driver = SharedTickProcess(network.simulator, period=tick_period)
-        for node in network.nodes:
-            node.program.tick_driver = driver
 
     injector = ScheduledFaultInjector(network, script, status=status, monitor=monitor)
     if faults:
@@ -497,7 +483,7 @@ def run_churn_election(
     n: int,
     *,
     script: FaultScript,
-    a0: float = 0.3,
+    a0: Optional[float] = None,
     delay: Optional[DelayDistribution] = None,
     seed: int = 0,
     schedule: Optional[ActivationSchedule] = None,
@@ -510,7 +496,6 @@ def run_churn_election(
     enable_trace: bool = False,
     validate_model: bool = True,
     expected_delay_bound: Optional[float] = None,
-    batch_ticks: bool = True,
     heartbeat_interval: Optional[float] = None,
     leader_timeout: Optional[float] = None,
     faults: tuple = (),
@@ -533,6 +518,8 @@ def run_churn_election(
     """
     if on_budget not in ("stop", "raise"):
         raise ValueError(f"on_budget must be 'stop' or 'raise', got {on_budget!r}")
+    if a0 is None:
+        a0 = recommended_a0(n)
     network, status, injector, monitor = build_churn_election_network(
         n,
         script=script,
@@ -549,7 +536,6 @@ def run_churn_election(
         enable_trace=enable_trace,
         validate_model=validate_model,
         expected_delay_bound=expected_delay_bound,
-        batch_ticks=batch_ticks,
         heartbeat_interval=heartbeat_interval,
         leader_timeout=leader_timeout,
         faults=faults,

@@ -30,45 +30,56 @@ explicit (and configurable) here:
   to run the ablation A2, which demonstrates that purging is essential for the
   linear message complexity.
 
-Hot-path design
----------------
-The tick handler runs once per node and local time unit -- it dominates the
-event count of every election -- so its bookkeeping mirrors what PR 2 did to
-the message path:
+Activation: one draw per idle spell
+-----------------------------------
+The rule above flips a coin at every tick, but ``d`` -- and with it the
+probability ``p = 1 - (1 - A0)^d`` -- changes only on a receipt, and a
+receipt always ends the idle spell.  So the number of ticks an idle node
+waits is Geometric(p), and the program draws it once per *idle spell*
+(one uniform from the node's ``node/{uid}`` stream) and arms a single
+activation timer for that tick, instead of flipping every coin:
 
-* counters are plain integer attributes on the shared :class:`ElectionStatus`
-  (a single ``+= 1``); the network's
-  :class:`~repro.sim.monitor.MetricsCollector` reads them back through
-  :meth:`~repro.sim.monitor.MetricsCollector.bind_external_sum`, so
-  ``count()``/``counters()``/``summary()`` readers are unchanged and the
-  string-keyed ``increment`` dictionary lookups are gone;
-* the per-node coin flip is prebound (``self._rng_random``) and the
-  activation probability is cached per value of ``d`` (schedules are pure
-  functions of ``d`` by contract -- see
-  :class:`~repro.core.activation.ActivationSchedule`), so a steady-state tick
-  performs no attribute-chain walks, no method dispatch into the schedule and
-  no exponentiation;
-* under ``batch_ticks`` (see :func:`repro.core.runner.build_election_network`)
-  a :class:`~repro.sim.process.SharedTickProcess` drives a whole activation
-  round of nodes from a single heap entry; the per-node
-  :class:`~repro.sim.process.TickProcess` schedules one event per tick.
+* a spell starts at start-up and on every return to idle (knock-back; in
+  the churn program also recovery, suspicion, epoch adoption and
+  step-down);
+* ticks lie on the node's local-clock grid ``C(anchor) + k * tick_period``,
+  anchored when the node starts ticking and re-anchored when it restarts
+  after knock-out, crowning or a crash stopped it;
+* the timer fires before same-instant message deliveries (priority
+  ``ACTIVATION_PRIORITY``), the vector core's "rounds win ties";
+* knock-out, crowning and a crash (:meth:`AbeElectionProgram.halt`) cancel
+  it;
+* ``ElectionStatus.ticks`` counts, in closed form, the grid ticks inside
+  each node's ticking intervals, so it keeps its per-tick meaning.
+
+An election therefore costs O(messages) events, not O(n * ticks).  Drifting
+clocks are mapped lazily (:meth:`~repro.sim.clock.LocalClock.reach`): the
+timer wakes no earlier than the mapped horizon and re-aims until the map
+covers the target tick.  Counters stay plain integers on the shared
+:class:`ElectionStatus`, read back through
+:meth:`~repro.sim.monitor.MetricsCollector.bind_external_sum`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.activation import ActivationSchedule, AdaptiveActivation
 from repro.core.messages import HopMessage
 from repro.network.node import Node, NodeProgram
-from repro.sim.process import SharedTickProcess
+from repro.sim.events import EventHandle
 
 __all__ = ["NodeState", "ElectionStatus", "AbeElectionProgram"]
 
 #: The single outgoing port of a node in a unidirectional ring.
 RING_PORT = 0
+
+#: Engine priority of activation timers: below the deliveries' 0, so a tick
+#: fires before any message delivered at the same instant.
+ACTIVATION_PRIORITY = -1
 
 
 class NodeState(enum.Enum):
@@ -92,11 +103,12 @@ class ElectionStatus:
     an O(1) termination check and the experiments a single place to read the
     outcome from.
 
-    The integer fields double as the run's hot-path counters: programs bump
-    them with plain ``+= 1`` statements and the network's metrics collector
-    exposes them read-only under the historical counter names (``"ticks"``,
+    The integer fields double as the run's counters: programs bump them with
+    plain ``+= 1`` statements and the network's metrics collector exposes
+    them read-only under the historical counter names (``"ticks"``,
     ``"activations"``, ``"knockout_messages"``, ``"hop_overflows"``,
-    ``"leaders_elected"``) via :meth:`bind_metrics`.
+    ``"leaders_elected"``) via :meth:`bind_metrics`.  :attr:`ticks` is
+    computed on read from the programs' ticking intervals.
     """
 
     leader_uid: Optional[int] = None
@@ -105,12 +117,26 @@ class ElectionStatus:
     activations: int = 0
     knockouts: int = 0
     hop_overflows: int = 0
-    ticks: int = 0
+
+    def __post_init__(self) -> None:
+        # Every program sharing this status registers itself at bind time;
+        # an attribute, not a field, so results and reprs never walk it.
+        self.programs: List["AbeElectionProgram"] = []
 
     @property
     def decided(self) -> bool:
         """Whether some node has declared itself leader."""
         return self.leader_uid is not None
+
+    @property
+    def ticks(self) -> int:
+        """Local clock ticks consumed so far, summed over every node."""
+        return sum(program.ticks for program in self.programs)
+
+    @property
+    def ticking(self) -> bool:
+        """Whether some node is still ticking (idle or active)."""
+        return any(program.ticking for program in self.programs)
 
     def bind_metrics(self, metrics) -> None:
         """Expose this status's plain counters through ``metrics`` (idempotent).
@@ -147,13 +173,6 @@ class AbeElectionProgram(NodeProgram):
         Whether to request a simulation stop the moment this node becomes
         leader (the runner's default).  Disable to let residual messages drain
         and observe the post-election quiescence.
-    tick_driver:
-        Optional :class:`~repro.sim.process.SharedTickProcess` batching this
-        node's ticks with every peer tick landing at the same instant (one
-        heap entry per occupied instant; one per activation round when all
-        clocks are drift-free).  The runner injects it under
-        ``batch_ticks=True``; when ``None`` the node runs its own
-        :class:`~repro.sim.process.TickProcess`.
     """
 
     def __init__(
@@ -163,7 +182,6 @@ class AbeElectionProgram(NodeProgram):
         tick_period: float = 1.0,
         purge_at_active: bool = True,
         stop_network_on_election: bool = True,
-        tick_driver: Optional[SharedTickProcess] = None,
     ) -> None:
         super().__init__()
         if tick_period <= 0:
@@ -173,29 +191,40 @@ class AbeElectionProgram(NodeProgram):
         self.tick_period = float(tick_period)
         self.purge_at_active = purge_at_active
         self.stop_network_on_election = stop_network_on_election
-        self.tick_driver = tick_driver
         self.state = NodeState.IDLE
         self.d = 1
         self.messages_received = 0
         self.messages_forwarded = 0
         self.times_activated = 0
         self.times_knocked_out = 0
-        # Hot-loop caches, completed at bind()/on_start() time.
         self._probability = 0.0
         self._rng_random = None
+        # Ticking interval: the grid's anchor reading on the local clock
+        # (None while the node does not tick) and the ticks of closed
+        # intervals.
+        self._anchor: Optional[float] = None
+        self._closed_ticks = 0
+        # The idle spell's activation: its tick on the local clock and the
+        # one pending timer (the activation itself, or a wake-up that
+        # re-aims it on a drifting clock).
+        self._target = 0.0
+        self._timer: Optional[EventHandle] = None
 
     # ------------------------------------------------------------------ wiring
 
     def bind(self, node: Node) -> None:
-        """Bind to the node, prebind the coin flip and publish the counters."""
+        """Bind to the node, prebind the coin and publish the counters."""
         super().bind(node)
         self._rng_random = node.rng.random
+        self._clock = node.clock
+        self._simulator = node.network.simulator
+        self.status.programs.append(self)
         self.status.bind_metrics(node.network.metrics)
 
     # ------------------------------------------------------------------ start
 
     def on_start(self) -> None:
-        """Initialise the node (idle, ``d = 1``) and start the local clock ticks."""
+        """Initialise the node (idle, ``d = 1``) and start its first idle spell."""
         ring_size = self.n
         if ring_size is None:
             raise RuntimeError(
@@ -211,35 +240,81 @@ class AbeElectionProgram(NodeProgram):
         self.d = 1
         self._probability = self.schedule.probability(1)
         self.trace("state", state=str(self.state), d=self.d)
-        if self.tick_driver is not None:
-            # Join order across nodes is on_start order (uid order), which is
-            # exactly the per-node firing order at shared instants.  The
-            # node's own clock travels with the membership, so drifting
-            # clocks keep their private tick times.
-            self._tick_process = self.tick_driver.join(
-                self._on_tick,
-                clock=self._require_node().clock,
-                period=self.tick_period,
-            )
-        else:
-            self.start_ticks(self._on_tick, local_period=self.tick_period)
+        self._begin_idle_spell()
 
-    # ------------------------------------------------------------------- tick
+    # ---------------------------------------------------------------- ticking
 
-    def _on_tick(self, tick_index: int) -> Optional[bool]:
-        """One local clock tick: an idle node may spontaneously activate."""
-        self.status.ticks += 1
-        state = self.state
-        if state is NodeState.PASSIVE or state is NodeState.LEADER:
-            # Passive and leader are absorbing for the tick rule; stop ticking
-            # to keep the event queue small.  (Active nodes keep ticking
-            # because a knock-out returns them to idle.)
-            return False
-        if state is not NodeState.IDLE:
+    @property
+    def ticking(self) -> bool:
+        """Whether the node's clock ticks count (it is idle or active)."""
+        return self._anchor is not None
+
+    @property
+    def ticks(self) -> int:
+        """Ticks consumed so far: every grid tick of every ticking interval."""
+        if self._anchor is None:
+            return self._closed_ticks
+        return self._closed_ticks + self._ticks_elapsed(self._simulator.now)
+
+    def _ticks_elapsed(self, now: float) -> int:
+        """Grid ticks in ``(anchor, now]`` -- a tick at ``now`` has fired."""
+        reading = self._clock.local_time(now)
+        anchor = self._anchor
+        period = self.tick_period
+        count = int((reading - anchor) // period)
+        # Floor division may round across a tick; settle on the exact grid.
+        while anchor + (count + 1) * period <= reading:
+            count += 1
+        while count > 0 and anchor + count * period > reading:
+            count -= 1
+        return count
+
+    def _draw_wait(self) -> Optional[int]:
+        """Ticks until activation, K ~ Geometric(p); ``None`` if ``p = 0``."""
+        probability = self._probability
+        uniform = self._rng_random()
+        if probability >= 1.0:
+            return 1
+        if probability <= 0.0:
             return None
-        if self._rng_random() < self._probability:
-            self._activate()
-        return None
+        return 1 + int(math.log(1.0 - uniform) / math.log1p(-probability))
+
+    def _begin_idle_spell(self) -> None:
+        """Draw this idle spell's wait and arm its one activation timer."""
+        now = self._simulator.now
+        if self._anchor is None:
+            self._anchor = self._clock.local_time(now)
+        elif self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        wait = self._draw_wait()
+        if wait is None:
+            return
+        ticks = self._ticks_elapsed(now) + wait
+        self._target = self._anchor + ticks * self.tick_period
+        self._aim()
+
+    def _aim(self) -> None:
+        """Schedule the activation at its tick, or a wake-up closer to it."""
+        simulator = self._simulator
+        instant, exact = self._clock.reach(simulator.now, self._target)
+        callback = self._activate if exact else self._aim
+        self._timer = simulator.schedule_at(
+            instant, callback, priority=ACTIVATION_PRIORITY
+        )
+
+    def _stop_ticking(self) -> None:
+        """Close the ticking interval and cancel any pending activation."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self._anchor is not None:
+            self._closed_ticks += self._ticks_elapsed(self._simulator.now)
+            self._anchor = None
+
+    def halt(self) -> None:
+        """Crash-stop: close the ticking interval, cancel the activation."""
+        self._stop_ticking()
 
     def _activate(self) -> None:
         """Idle -> active transition: send ``<1>`` to the successor."""
@@ -294,7 +369,7 @@ class AbeElectionProgram(NodeProgram):
         self.state = NodeState.PASSIVE
         self.times_knocked_out += 1
         self.trace("state", state=str(self.state), d=self.d, hop=payload.hop)
-        self.stop_ticks()
+        self._stop_ticking()
         self._forward(payload, knocked_out_idle=True)
 
     def _receive_while_passive(self, payload: HopMessage) -> None:
@@ -307,16 +382,15 @@ class AbeElectionProgram(NodeProgram):
         if ring_size is not None and payload.hop == ring_size:
             self._become_leader(payload)
             return
+        self.state = NodeState.IDLE
+        self.trace("state", state=str(self.state), d=self.d, hop=payload.hop)
+        self._begin_idle_spell()
         if self.purge_at_active:
-            self.state = NodeState.IDLE
-            self.trace("state", state=str(self.state), d=self.d, hop=payload.hop)
             # The message is purged: nothing is forwarded.
             return
         # Ablation A2: no purging -- the active node still falls back to idle
         # but forwards the message as if it were passive, so tokens are never
         # removed from the ring.
-        self.state = NodeState.IDLE
-        self.trace("state", state=str(self.state), d=self.d, hop=payload.hop)
         self._forward(payload, knocked_out_idle=False)
 
     def _receive_while_leader(self, payload: HopMessage) -> None:
@@ -326,7 +400,7 @@ class AbeElectionProgram(NodeProgram):
     def _become_leader(self, payload: HopMessage) -> None:
         node = self._require_node()
         self.state = NodeState.LEADER
-        self.stop_ticks()
+        self._stop_ticking()
         self.status.leader_uid = node.uid
         self.status.election_time = self.now
         self.status.leaders_elected += 1

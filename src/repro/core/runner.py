@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.core.activation import ActivationSchedule, AdaptiveActivation
+from repro.core.analysis import recommended_a0
 from repro.core.election import AbeElectionProgram, ElectionStatus, NodeState
 from repro.models.abe import ABEModel
 from repro.network.adversary import AdversarialDelay
@@ -25,7 +26,7 @@ from repro.network.delays import DelayDistribution, ExponentialDelay
 from repro.network.network import Network, NetworkConfig
 from repro.network.topology import unidirectional_ring
 from repro.sim.clock import ClockDriftModel
-from repro.sim.process import SharedTickProcess
+from repro.sim.engine import SimulationDiverged
 
 __all__ = ["ElectionResult", "run_election", "run_election_on_network"]
 
@@ -111,7 +112,7 @@ def _default_max_events(n: int) -> int:
 def build_election_network(
     n: int,
     *,
-    a0: float = 0.3,
+    a0: Optional[float] = None,
     delay: Optional[DelayModel] = None,
     seed: int = 0,
     schedule: Optional[ActivationSchedule] = None,
@@ -124,32 +125,18 @@ def build_election_network(
     enable_trace: bool = False,
     validate_model: bool = True,
     expected_delay_bound: Optional[float] = None,
-    batch_ticks: bool = True,
 ) -> tuple:
     """Construct the ring network and shared status for one election run.
 
     Returns ``(network, status)``.  Exposed separately from
     :func:`run_election` so tests and examples can inspect or instrument the
-    network before running it.
-
-    ``batch_ticks`` drives every node's clock ticks from one
-    :class:`~repro.sim.process.SharedTickProcess`, which buckets all ticks
-    landing at the same instant behind a single heap entry.  Tick *times*
-    are computed per node from its own (possibly drifting) clock, exactly
-    like the per-node layout, so the mode composes with ``clock_bounds`` and
-    ``clock_drift_factory``: drift-free unit-rate clocks share every instant
-    (one event per activation round), drifting clocks mostly occupy distinct
-    instants (never worse than per-node ticking).  Election outcomes,
-    message counts, times and metric counters are preserved for continuous
-    delay models (a delivery then never ties a tick instant, which is the
-    only way the coarser event granularity could reorder work); the
-    engine-level ``events_processed`` necessarily differs, so compare that
-    figure within one mode.
+    network before running it.  ``a0=None`` means ``recommended_a0(n)``.
     """
     if n < 2:
         raise ValueError(f"the election algorithm needs a ring of size n >= 2, got {n}")
     delay_model: DelayModel = delay if delay is not None else ExponentialDelay(mean=1.0)
-    schedule = schedule if schedule is not None else AdaptiveActivation(a0)
+    if schedule is None:
+        schedule = AdaptiveActivation(recommended_a0(n) if a0 is None else a0)
     status = ElectionStatus()
 
     config = NetworkConfig(
@@ -187,10 +174,6 @@ def build_election_network(
         )
 
     network = Network(config, program_factory)
-    if batch_ticks:
-        driver = SharedTickProcess(network.simulator, period=tick_period)
-        for node in network.nodes:
-            node.program.tick_driver = driver
     return network, status
 
 
@@ -200,7 +183,7 @@ def run_election_on_network(
     *,
     max_events: Optional[int] = None,
     max_time: Optional[float] = None,
-    a0: float = 0.3,
+    a0: Optional[float] = None,
     on_budget: str = "stop",
 ) -> ElectionResult:
     """Run an already-built election network to completion (or to its limits).
@@ -210,7 +193,12 @@ def run_election_on_network(
     historical semantics; ``"raise"`` arms the divergence watchdog so a run
     that exhausts ``max_events``/``max_time`` without deciding raises
     :class:`~repro.sim.engine.SimulationDiverged` -- a decided election never
-    raises, whatever the budgets.
+    raises, whatever the budgets.  A run whose queue drains undecided while
+    some node still ticks (a lone active node whose crowning token was lost)
+    is stuck for good: it returns ``elected=False``, or raises under
+    ``"raise"``, like the vector core.  ``a0`` is only reported in the
+    result; ``None`` reports the programs' schedule's ``a0`` (or
+    ``recommended_a0(n)`` for a schedule without one).
     """
     if on_budget not in ("stop", "raise"):
         raise ValueError(f"on_budget must be 'stop' or 'raise', got {on_budget!r}")
@@ -220,6 +208,24 @@ def run_election_on_network(
     network.run(
         until=max_time, max_events=max_events, raise_on_limit=(on_budget == "raise")
     )
+    simulator = network.simulator
+    if a0 is None:
+        # Report the base parameter the programs actually run with.
+        a0 = getattr(status.programs[0].schedule, "a0", recommended_a0(network.n))
+    if (
+        on_budget == "raise"
+        and not status.decided
+        and simulator.pending == 0
+        and status.ticking
+    ):
+        raise SimulationDiverged(
+            f"election on n={network.n} is stuck undecided: no pending event "
+            f"can wake a ticking node (now={simulator.now})",
+            simulator.events_processed,
+            simulator.now,
+            max_events,
+            max_time,
+        )
     return ElectionResult(
         n=network.n,
         elected=status.decided,
@@ -240,7 +246,7 @@ def run_election_on_network(
 def run_election(
     n: int,
     *,
-    a0: float = 0.3,
+    a0: Optional[float] = None,
     delay: Optional[DelayModel] = None,
     seed: int = 0,
     schedule: Optional[ActivationSchedule] = None,
@@ -253,7 +259,6 @@ def run_election(
     enable_trace: bool = False,
     validate_model: bool = True,
     expected_delay_bound: Optional[float] = None,
-    batch_ticks: bool = True,
     max_events: Optional[int] = None,
     max_time: Optional[float] = None,
     on_budget: str = "stop",
@@ -261,20 +266,20 @@ def run_election(
 ) -> ElectionResult:
     """Elect a leader on an anonymous unidirectional ABE ring of size ``n``.
 
-    Parameters mirror the paper's knobs: the base activation parameter ``a0``,
-    the per-channel delay model (default: exponential with mean 1, the
-    canonical ABE channel), the clock-rate bounds, and the expected local
-    processing delay.  See :class:`ElectionResult` for what is measured.
+    Parameters mirror the paper's knobs: the base activation parameter ``a0``
+    (default ``recommended_a0(n)``), the per-channel delay model (default:
+    exponential with mean 1, the canonical ABE channel), the clock-rate
+    bounds, and the expected local processing delay.  See
+    :class:`ElectionResult` for what is measured.
 
-    ``core`` selects the engine: ``"object"`` is the per-node reference
-    implementation; ``"vector"`` runs the same state machine on the columnar
+    ``core`` selects the engine: ``"object"`` is the per-node implementation
+    (one activation timer per idle spell, see :mod:`repro.core.election`);
+    ``"vector"`` runs the same state machine on the columnar
     :class:`~repro.core.vector_core.VectorRingElection` engine (own
     seed-deterministic numpy streams, so a *different sample path* per seed
     -- see the stream-migration note in :mod:`repro.core.vector_core`).
     The vector core rejects per-node clock knobs (``clock_bounds`` other
-    than ``(1, 1)``, ``clock_drift_factory``) and ``enable_trace``;
-    ``batch_ticks`` is an object-core performance toggle and is ignored
-    there (vectorization subsumes it).
+    than ``(1, 1)``, ``clock_drift_factory``) and ``enable_trace``.
 
     Examples
     --------
@@ -335,7 +340,6 @@ def run_election(
         enable_trace=enable_trace,
         validate_model=validate_model,
         expected_delay_bound=expected_delay_bound,
-        batch_ticks=batch_ticks,
     )
     return run_election_on_network(
         network,

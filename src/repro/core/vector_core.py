@@ -36,15 +36,15 @@ from its *own* seed-deterministic numpy streams
 instead of the object core's per-node/per-channel ``random.Random``
 streams.  A vector run is therefore bit-reproducible per seed but follows a
 *different sample path* than the object run of the same seed: the two cores
-are compared distributionally and on invariants (unique leader, agreement,
-conservation laws -- see ``tests/test_property_vector_core.py``), never
-event-for-event.  The object engine remains the differential reference:
-the golden fingerprints pin the object core only.
+are compared distributionally (two-sample KS tests against each other and a
+per-tick reference, ``tests/oracles/test_activation_parity.py``) and on
+invariants (unique leader, agreement, conservation laws -- see
+``tests/test_property_vector_core.py``), never event-for-event.  The
+golden fingerprints pin the object core only.
 
 Engine-level accounting (``events_processed``) counts activation rounds plus
-message deliveries -- necessarily different from the object engine's event
-granularity, exactly as ``batch_ticks`` already documents: compare that
-figure within one core.
+message deliveries, while the object engine counts start-ups, activations
+and deliveries: compare that figure within one core.
 
 Two object-core knobs are out of scope and rejected loudly rather than
 silently approximated: per-node clock drift (``clock_drift_factory`` /
@@ -54,8 +54,8 @@ vectorization relies on, and event tracing has no per-event stream here.
 Deadlock is detected eagerly: with no pending arrivals and no idle node left
 (for example a lone active node whose crowning message was dropped by a loss
 fault), no future coin flip or delivery can change the state, so the run
-returns ``elected=False`` immediately -- the object core burns ticks until
-its event budget instead; ``on_budget="raise"`` raises
+returns ``elected=False`` immediately, as the object core does when its
+queue drains; ``on_budget="raise"`` raises
 :class:`~repro.sim.engine.SimulationDiverged` in both cores.
 """
 
@@ -68,6 +68,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.activation import ActivationSchedule, AdaptiveActivation
+from repro.core.analysis import recommended_a0
 from repro.core.runner import ElectionResult, _default_max_events
 from repro.models.abe import ABEModel
 from repro.network.delays import DelayDistribution
@@ -164,7 +165,7 @@ class VectorRingElection:
         self,
         n: int,
         *,
-        a0: float = 0.3,
+        a0: Optional[float] = None,
         delay: Optional[DelayDistribution] = None,
         seed: int = 0,
         schedule: Optional[ActivationSchedule] = None,
@@ -194,10 +195,10 @@ class VectorRingElection:
                 "per-channel delay models need the object core"
             )
         self.n = int(n)
-        self.a0 = float(a0)
+        self.a0 = float(recommended_a0(n) if a0 is None else a0)
         self.seed = int(seed)
         self.delay_model = delay_model
-        self.schedule = schedule if schedule is not None else AdaptiveActivation(a0)
+        self.schedule = schedule if schedule is not None else AdaptiveActivation(self.a0)
         self.fifo = bool(fifo)
         self.purge_at_active = bool(purge_at_active)
         self.tick_period = float(tick_period)
@@ -654,7 +655,7 @@ class VectorRingElection:
 def run_vector_election(
     n: int,
     *,
-    a0: float = 0.3,
+    a0: Optional[float] = None,
     delay: Optional[DelayDistribution] = None,
     seed: int = 0,
     schedule: Optional[ActivationSchedule] = None,
@@ -670,7 +671,10 @@ def run_vector_election(
     max_time: Optional[float] = None,
     on_budget: str = "stop",
 ) -> ElectionResult:
-    """One-call vector-core election, mirroring :func:`~repro.core.runner.run_election`."""
+    """One-call vector-core election, mirroring :func:`~repro.core.runner.run_election`.
+
+    ``a0=None`` means ``recommended_a0(n)``.
+    """
     election = VectorRingElection(
         n,
         a0=a0,

@@ -3,8 +3,8 @@
 The brief announcement contains no numbered tables or figures; its evaluation
 is a set of stated claims (linear average complexity, the ``1/p``
 retransmission expectation, the Theorem 1 synchronisation bound, comparability
-with the classical baselines).  EXPERIMENTS.md maps each claim to one
-experiment module here and one benchmark under ``benchmarks/``:
+with the classical baselines).  Each claim maps to one experiment module
+here and one benchmark under ``benchmarks/``:
 
 ========  ==================================================================
 E1        Average message complexity of the ABE election is linear in ``n``

@@ -74,7 +74,7 @@ def run(
     serial.  ``adaptive`` stops each size's trials once the message-count CI
     is tight enough (``trials`` becomes the budget); ``election_overrides``
     forwards extra :func:`~repro.core.runner.run_election` keywords (e.g.
-    ``batch_ticks=False`` to tick every node from its own event).
+    ``fifo=True`` for order-preserving channels).
     """
     if adaptive is not None:
         adaptive = adaptive.resolved("messages_total")

@@ -23,7 +23,6 @@ from repro.experiments.runner import AdaptiveStopping
 from repro.experiments.workloads import election_spec
 from repro.scenarios.runtime import run_study
 from repro.scenarios.spec import SpecNode, StudySpec
-from repro.sim.clock import RandomWalkDrift
 from repro.stats.confidence import confidence_interval
 
 EXPERIMENT_ID = "e8"
@@ -42,30 +41,6 @@ DEFAULT_BOUNDS: Sequence[Tuple[float, float]] = (
     (0.5, 2.0),
     (0.25, 2.0),
 )
-
-
-def _batch_ticks_active(bounds: Tuple[float, float]) -> bool:
-    """Whether this experiment's election networks really batch their ticks.
-
-    The drift-tolerant :class:`~repro.sim.process.SharedTickProcess` must
-    drive every node even at the loosest clock bounds -- the old driver
-    rejected drifting clocks, silently forcing this experiment back onto
-    per-node ticking.  Asserted as a finding so a regression shows up in the
-    experiment report, not just in unit tests.  The probe ring is tiny: the
-    driver wiring is size-independent, only the clock configuration matters.
-    """
-    from repro.core.runner import build_election_network
-
-    s_low, s_high = bounds
-    network, _ = build_election_network(
-        4,
-        seed=0,
-        clock_bounds=bounds,
-        clock_drift_factory=lambda uid: RandomWalkDrift(
-            initial_rate=(s_low + s_high) / 2.0, step=(s_high - s_low) / 10.0
-        ),
-    )
-    return all(node.program.tick_driver is not None for node in network.nodes)
 
 
 def build_study(
@@ -160,7 +135,6 @@ def run(
             unique_leader_always=all(r.leaders_elected == 1 for r in elected),
         )
     findings = {
-        "batch_ticks_active": _batch_ticks_active(clock_bounds[-1]),
         "always_elected": all(table.column("all_elected")),
         "always_unique_leader": all(table.column("unique_leader_always")),
         "worst_message_factor_vs_driftfree": worst_message_factor,

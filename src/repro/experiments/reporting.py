@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment results.
 
-The benchmarks and the CLI print experiment tables in a fixed-width layout so
-that EXPERIMENTS.md, the benchmark output and ad-hoc CLI runs all show the
-same rows in the same shape.
+The benchmarks, ``scripts/run_all_experiments.py`` and the CLI print
+experiment tables in a fixed-width layout, so every report shows the same
+rows in the same shape.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Result containers for experiments.
 
 A :class:`ResultTable` is a light-weight, ordered table of rows (dicts) with a
-fixed column order -- the in-memory form of the tables printed into
-EXPERIMENTS.md and by the benchmarks.  An :class:`ExperimentResult` bundles one
+fixed column order -- the in-memory form of the tables the experiment
+report and the benchmarks print.  An :class:`ExperimentResult` bundles one
 or more tables with the experiment's identity, the paper claim it checks, and
 a dictionary of boolean/numeric *findings* that the tests assert on.
 """

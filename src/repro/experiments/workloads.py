@@ -87,7 +87,6 @@ _ELECTION_SPEC_FIELDS = frozenset(
         "clock_bounds",
         "validate_model",
         "expected_delay_bound",
-        "batch_ticks",
         "core",
         "max_events",
         "max_time",

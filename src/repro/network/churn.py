@@ -7,7 +7,7 @@ events executed by a :class:`ScheduledFaultInjector` that can *reverse* what
 it applies:
 
 * :class:`CrashEvent` / :class:`RecoverEvent` -- a crash installs the same
-  delivery swallow and tick stop as :class:`~repro.network.faults.CrashStopFault`;
+  delivery swallow and program halt as :class:`~repro.network.faults.CrashStopFault`;
   the paired recovery removes the swallow (the ``deliver`` instance attribute
   is deleted, restoring the class method) and hands control back to the
   program via its optional ``on_recover()`` hook.
@@ -267,7 +267,7 @@ class ScheduledFaultInjector(FaultInjector):
     ``_deliver``.  Programs may expose two optional hooks:
 
     * ``on_crash() -> bool`` -- called after the swallow is installed and the
-      ticks are stopped; returns whether the node was the leader.
+      program halted; returns whether the node was the leader.
     * ``on_recover()`` -- called after delivery is restored; the program
       re-enters the computation (for the churn-aware election: as an idle
       non-leader candidate).
@@ -346,7 +346,9 @@ class ScheduledFaultInjector(FaultInjector):
 
     # ------------------------------------------------------------------ crash
 
-    def _fire_crash(self, event: CrashEvent, uid: Optional[int] = None) -> None:
+    def _fire_crash(
+        self, event: CrashEvent, uid: Optional[int] = None, requeued: bool = False
+    ) -> None:
         simulator = self.network.simulator
         if uid is None:
             uid = self._resolve(event.node)
@@ -359,12 +361,10 @@ class ScheduledFaultInjector(FaultInjector):
                 )
                 return
         node = self.network.nodes[uid]
-        if self._must_defer_crash(node):
+        if not requeued and simulator.now == 0.0:
             # Same-instant requeue: see FaultInjector._crash_now.  Keeping the
             # requeue at the directive level preserves the downtime pairing.
-            simulator.schedule_at(
-                simulator.now, partial(self._fire_crash, event, uid)
-            )
+            simulator.schedule_at(0.0, partial(self._fire_crash, event, uid, True))
             return
         applied = self._crash_apply(node)
         if applied and event.downtime is not None:

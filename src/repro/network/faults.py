@@ -10,7 +10,7 @@ messages are simply lost (no retransmission) or nodes crash:
   fixed probability, *after* the send has been counted (the sender cannot
   tell).
 * :class:`CrashStopFault` silently stops a node at a given time: from then on
-  it neither processes deliveries nor takes clock ticks.
+  it neither processes deliveries nor acts on its own (``NodeProgram.halt``).
 * :class:`FaultInjector` applies fault specifications to a built
   :class:`~repro.network.network.Network` and keeps counters of what it did.
 
@@ -166,34 +166,18 @@ class FaultInjector:
             fault.crash_time, lambda: self._crash_now(node)
         )
 
-    def _must_defer_crash(self, node: Node) -> bool:
-        """Whether a crash firing *now* would land before the node started.
-
-        A crash scheduled at time 0 enters the event queue before
-        ``Network.start()`` queues the ``on_start`` events at the same
-        instant, so without a defer the "crashed" node would be started (and
-        its ticks re-armed) right after the crash fired.  The tick process is
-        the observable start marker: ``None`` at time 0 means ``on_start``
-        has not run yet.
-        """
-        simulator = self.network.simulator
-        program = node.program
-        return (
-            simulator.now == 0.0
-            and program is not None
-            and program._tick_process is None
-        )
-
     def _crash_now(self, node: Node, _requeued: bool = False) -> bool:
         if node.uid in self.nodes_crashed:
             return False
-        if not _requeued and self._must_defer_crash(node):
-            # One-time same-instant requeue: the re-scheduled event sorts
-            # after the pending on_start events at the same timestamp, so the
-            # crash lands on a *started* node.  Exactly one requeue -- a
-            # program that never starts ticking must not loop forever.
+        if not _requeued and self.network.simulator.now == 0.0:
+            # A crash scheduled at time 0 enters the event queue before
+            # ``Network.start()`` queues the ``on_start`` events at the same
+            # instant; without a defer the "crashed" node would be started
+            # (and its activity armed) right after the crash fired.  One
+            # same-instant requeue sorts the crash after them -- exactly one,
+            # so it cannot loop.
             self.network.simulator.schedule_at(
-                self.network.simulator.now, lambda: self._crash_now(node, True)
+                0.0, lambda: self._crash_now(node, True)
             )
             return False
         return self._crash_apply(node)
@@ -207,7 +191,7 @@ class FaultInjector:
         )
         program = node.program
         if program is not None:
-            program.stop_ticks()
+            program.halt()
 
         def swallow(payload, in_port):  # noqa: ANN001 - matches wrapped signature
             self.deliveries_to_crashed += 1

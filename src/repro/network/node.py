@@ -8,7 +8,7 @@ A :class:`NodeProgram` is the algorithm running on a node.  Programs are
 written in an actor style: they react to :meth:`NodeProgram.on_start`,
 :meth:`NodeProgram.on_receive` and timers/ticks they themselves set up, and
 they act on the world exclusively through the protected helpers (``send``,
-``set_timer``, ``start_ticks``).  Programs for *anonymous* algorithms (such as
+``set_timer``).  Programs for *anonymous* algorithms (such as
 the ABE election algorithm) must not base decisions on ``self.node.uid`` --
 the uid exists only for simulation bookkeeping and tracing.
 """
@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.sim.clock import LocalClock
 from repro.sim.events import EventHandle, EventKind
-from repro.sim.process import TickProcess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.network.channel import Channel
@@ -120,14 +119,13 @@ class NodeProgram:
     """Base class for algorithms running on a node.
 
     Subclasses override :meth:`on_start` and :meth:`on_receive`, and may use
-    :meth:`set_timer` and :meth:`start_ticks` to schedule local activity.  The
+    :meth:`set_timer` to schedule local activity.  The
     base class offers convenience accessors (``rng``, ``now``, ``n``, ...) and
     performs the node binding.
     """
 
     def __init__(self) -> None:
         self.node: Optional[Node] = None
-        self._tick_process: Optional[TickProcess] = None
 
     # ------------------------------------------------------------------ wiring
 
@@ -245,21 +243,6 @@ class NodeProgram:
             real_delay, callback, kind=EventKind.TIMER
         )
 
-    def start_ticks(
-        self, callback: Callable[[int], Optional[bool]], local_period: float = 1.0
-    ) -> TickProcess:
-        """Start a local-clock tick process delivering ``callback(tick_index)``."""
-        node = self._require_node()
-        self._tick_process = TickProcess(
-            node.network.simulator, node.clock, callback, local_period=local_period
-        )
-        return self._tick_process
-
-    def stop_ticks(self) -> None:
-        """Stop the tick process started by :meth:`start_ticks` (if any)."""
-        if self._tick_process is not None:
-            self._tick_process.stop()
-
     def trace(self, category: str, **details: Any) -> None:
         """Record a trace event attributed to this node."""
         node = self._require_node()
@@ -277,6 +260,14 @@ class NodeProgram:
 
     def on_receive(self, payload: Any, port: int) -> None:
         """Called when a message is delivered on incoming ``port``."""
+
+    def halt(self) -> None:
+        """Crash-stop: cancel the program's own pending local activity.
+
+        Called by the crash path of :class:`~repro.network.faults.FaultInjector`
+        once the node's deliveries are swallowed; programs that schedule
+        their own wake-ups override it.
+        """
 
     def result(self) -> Any:
         """Algorithm-specific final result (e.g. elected / not elected)."""

@@ -220,7 +220,6 @@ class ElectionScenarioTrial:
             tick_period=spec.tick_period,
             validate_model=spec.validate_model,
             expected_delay_bound=spec.expected_delay_bound,
-            batch_ticks=spec.batch_ticks,
         )
         kwargs.update(spec.params)
         # A runtime delay object may ride the params pass-through (the
@@ -261,7 +260,7 @@ class ElectionScenarioTrial:
             else:
                 crashes.append((fault.node_uid, fault.crash_time))
         kwargs = dict(self.kwargs)
-        for object_only in ("clock_bounds", "clock_drift_factory", "batch_ticks"):
+        for object_only in ("clock_bounds", "clock_drift_factory"):
             kwargs.pop(object_only, None)
         kwargs["message_loss"] = message_loss
         kwargs["crashes"] = tuple(crashes)

@@ -102,7 +102,7 @@ class ScenarioSpec:
 
     Every field has a validated default, so ``ScenarioSpec()`` is already the
     canonical workload (the ABE election on a 32-ring with exponential
-    mean-1 delays and the library's fast defaults).  Unknown algorithm,
+    mean-1 delays and the library's defaults).  Unknown algorithm,
     topology or delay ``kind`` strings are rejected at *compile* time (see
     :mod:`repro.scenarios.registry`) with the list of known keys.
 
@@ -193,7 +193,6 @@ class ScenarioSpec:
     on_budget: str = "stop"
     expected_delay_bound: Optional[float] = None
     validate_model: bool = True
-    batch_ticks: bool = True
     core: str = "object"
     params: Dict[str, Any] = field(default_factory=dict)
     # Appended after params so every pre-existing positional construction --

@@ -10,9 +10,6 @@ part of the library is built on:
   handle-free message-delivery path).
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventHandle` --
   scheduled callbacks with stable, reproducible ordering.
-* :class:`~repro.sim.process.TickProcess` /
-  :class:`~repro.sim.process.SharedTickProcess` -- local-clock tick drivers,
-  per node or bucketed per instant.
 * :class:`~repro.sim.clock.LocalClock` -- per-node local clocks whose rates are
   bounded between ``s_low`` and ``s_high`` as required by Definition 1(2) of
   the ABE model.
@@ -39,7 +36,6 @@ from repro.sim.clock import (
     SinusoidalDrift,
 )
 from repro.sim.rng import RandomSource, derive_seed
-from repro.sim.process import SharedTickMembership, SharedTickProcess, TickProcess
 from repro.sim.monitor import Counter, MetricsCollector, TimeSeries
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -57,9 +53,6 @@ __all__ = [
     "SinusoidalDrift",
     "RandomSource",
     "derive_seed",
-    "SharedTickProcess",
-    "SharedTickMembership",
-    "TickProcess",
     "Counter",
     "MetricsCollector",
     "TimeSeries",

@@ -307,6 +307,27 @@ class LocalClock:
         seg = self._segments[lo]
         return seg.real_start + (local_time - seg.local_start) / seg.rate
 
+    def reach(self, now: float, local_time: float) -> Tuple[float, bool]:
+        """When the clock reads ``local_time`` (a reading after ``now``), lazily.
+
+        Returns ``(instant, True)`` with the exact real time once the mapped
+        segments cover ``local_time``.  Otherwise returns ``(instant, False)``
+        with a wake-up instant strictly after ``now``: the later of the
+        earliest instant the reading can be reached (``gap / s_high`` from
+        now) and the end of the mapped horizon.  The map is never extended
+        more than one segment past ``now``, so a caller that re-asks at each
+        wake-up generates segments only as simulated time reaches them.
+        Identity clocks answer exactly at once.
+        """
+        if self._identity:
+            return local_time, True
+        self._extend_to(math.nextafter(now, math.inf))
+        last = self._segments[-1]
+        if local_time <= last.local_end:
+            return max(now, self.real_time_for_local(local_time)), True
+        gap = local_time - self.local_time(now)
+        return max(now + gap / self.s_high, last.real_end), False
+
     def real_duration_for_local(self, from_real: float, local_duration: float) -> float:
         """Real time needed, starting at ``from_real``, for the local clock to
         advance by ``local_duration``."""

@@ -1,6 +1,6 @@
 """Confidence intervals for Monte-Carlo estimates.
 
-Every mean reported in EXPERIMENTS.md carries a Student-t confidence interval
+Every mean an experiment reports carries a Student-t confidence interval
 so that "the measured growth is linear" is a statement about interval
 containment rather than about two floating point numbers being close.
 """

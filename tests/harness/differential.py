@@ -12,8 +12,8 @@ is compared bit-for-bit against a JSON snapshot.
 Golden provenance
 -----------------
 The goldens were first generated at commit ``19a8dd0``, before the
-election-core refactor.  Two intended stream / event-accounting changes have
-re-pointed them since:
+election-core refactor.  Three intended stream / event-accounting changes
+have re-pointed them since:
 
 * **Fast defaults.**  Batched ticks (``batch_ticks``) and a block delay
   sampler became the library defaults.  ``election_scalar_n16`` pinned the
@@ -33,6 +33,21 @@ re-pointed them since:
   sampler, was deleted.  :func:`repro.store.code_version` hashes these
   files, so result stores recorded on the old stream go stale and re-run
   instead of mixing two streams in one aggregate.
+* **One activation rule.**  The object core stopped flipping a coin per
+  node and tick: an idle node draws its wait in ticks once per idle spell,
+  K ~ Geometric(1 - (1 - A0)^d), from one uniform of its ``node/{uid}``
+  stream, and arms one activation timer that fires before same-instant
+  deliveries.  The per-tick processes (``TickProcess``,
+  ``SharedTickProcess``, ``batch_ticks``) were deleted, so the coin stream,
+  the event count and the tie order all changed.  Every ``election_*``
+  golden and ``experiment_e2_reduced``/``experiment_e3_reduced`` were
+  re-recorded once; ``election_scalar_n16`` and ``election_fast_defaults_n16`` lost
+  their tick-mode distinction and now differ only in seed.  The
+  ``baseline_*`` and ``sync_*`` goldens passed unchanged.  Correctness
+  across the switch rests on ``tests/oracles/test_activation_parity.py``:
+  two-sample KS tests against the vector core and against the per-tick
+  reference in ``harness/per_tick_reference.py``.  ``code_version()``
+  changed again, so stores recorded before the switch go stale.
 
 Stream migration (vector core)
 ------------------------------
@@ -43,15 +58,15 @@ core's per-node Python streams -- one uniform block per activation round is
 the whole point of the vectorization, so event-for-event stream equality is
 *not* a design goal.  The goldens therefore stay pinned to the object core
 and are untouched; the vector core is checked against the object core
-**distributionally** (means of messages / activations / knockouts /
-election time over hundreds of trials, z-scored) and **invariantly**
-(unique leader, agreement, exactly ``n - 1`` knockouts on the clean path)
-in ``tests/test_vector_core.py`` and ``tests/test_property_vector_core.py``.
+**distributionally** (two-sample KS tests on messages, election time,
+activations and ticks in ``tests/oracles/test_activation_parity.py``) and
+**invariantly** (unique leader, agreement, exactly ``n - 1`` knockouts on
+the clean path) in ``tests/test_vector_core.py`` and
+``tests/test_property_vector_core.py``.
 
-**Differential mode** -- two arbitrary callables (e.g. the live election
-core and the faithful legacy replica in ``benchmarks/legacy_election_core.py``)
-produce fingerprints that are compared field by field, with a readable diff
-of every mismatching path.
+**Differential mode** -- any two fingerprints are compared field by field
+(:func:`assert_equivalent`), with a readable diff of every mismatching path;
+golden mode is this comparison against the stored snapshot.
 
 Recording
 ---------
@@ -294,8 +309,8 @@ def assert_matches_golden(name: str) -> None:
 # Every scenario is a pure function of constants: fixed sizes, seeds and
 # delay models, bounded by max_events/max_time where liveness is not
 # guaranteed (fault injection).  Coverage spans the election core in every
-# configuration the refactor touches (per-node / batched ticks / FIFO /
-# traced / constant schedule / no-purge ablation / fault injection), all
+# configuration the refactor touches (drifting clocks / FIFO / traced /
+# constant schedule / no-purge ablation / fault injection), all
 # four baseline leader elections, all three synchronizers, and reduced E2/E3
 # experiment sweeps.
 
@@ -316,7 +331,7 @@ def _election_fingerprint(
     if faults is not None:
         faults(network)
     result = run_election_on_network(
-        network, status, max_events=max_events, max_time=max_time
+        network, status, max_events=max_events, max_time=max_time, a0=config.get("a0")
     )
     fingerprint = fingerprint_network(network, include_trace=include_trace)
     fingerprint["result"] = canonical(result)
@@ -325,21 +340,18 @@ def _election_fingerprint(
 
 @scenario("election_scalar_n16")
 def _election_scalar() -> Dict[str, Any]:
-    # Per-node ticks on the one delay stream: golden unchanged since PR 2.
-    return _election_fingerprint(16, seed=7, a0=0.3, batch_ticks=False)
+    return _election_fingerprint(16, seed=7, a0=0.3)
 
 
 @scenario("election_fast_defaults_n16")
 def _election_fast_defaults() -> Dict[str, Any]:
-    # The library default (batched ticks), pinned explicitly so a future
-    # default flip cannot silently re-point this scenario.
-    return _election_fingerprint(16, seed=11, a0=0.3, batch_ticks=True)
+    return _election_fingerprint(16, seed=11, a0=0.3)
 
 
 @scenario("election_drift_n12")
 def _election_drift() -> Dict[str, Any]:
-    # Drifting clocks under the default batched ticks: locks the
-    # drift-tolerant SharedTickProcess bucketing (the e8 workload shape).
+    # Drifting clocks: locks the lazy local-to-real mapping of activation
+    # timers (the e8 workload shape).
     from repro.sim.clock import RandomWalkDrift
 
     return _election_fingerprint(
@@ -365,7 +377,7 @@ def _election_traced() -> Dict[str, Any]:
 def _election_constant_schedule() -> Dict[str, Any]:
     from repro.core.activation import ConstantActivation
 
-    return _election_fingerprint(10, seed=9, schedule=ConstantActivation(0.2))
+    return _election_fingerprint(10, seed=9, a0=0.3, schedule=ConstantActivation(0.2))
 
 
 @scenario("election_no_purge_n8")

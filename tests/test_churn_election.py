@@ -17,6 +17,7 @@ from repro.core.churn_election import (
     build_churn_election_network,
     run_churn_election,
 )
+from repro.core.election import NodeState
 from repro.models.abe import ABEModel
 from repro.network.churn import (
     CrashEvent,
@@ -62,7 +63,7 @@ class TestChurnTimeouts:
 
 class TestLeaderCrashRecover:
     def test_leader_crash_recover_restabilizes(self):
-        result = run_churn_election(8, script=LEADER_CRASH, seed=3)
+        result = run_churn_election(8, a0=0.3, script=LEADER_CRASH, seed=3)
         assert isinstance(result, ChurnElectionResult)
         assert result.elected
         assert result.stabilized
@@ -81,18 +82,18 @@ class TestLeaderCrashRecover:
         assert result.first_election_time < 40.0
 
     def test_runs_are_bit_identical(self):
-        a = run_churn_election(8, script=LEADER_CRASH, seed=3)
-        b = run_churn_election(8, script=LEADER_CRASH, seed=3)
+        a = run_churn_election(8, a0=0.3, script=LEADER_CRASH, seed=3)
+        b = run_churn_election(8, a0=0.3, script=LEADER_CRASH, seed=3)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = run_churn_election(8, script=LEADER_CRASH, seed=3)
-        b = run_churn_election(8, script=LEADER_CRASH, seed=4)
+        a = run_churn_election(8, a0=0.3, script=LEADER_CRASH, seed=3)
+        b = run_churn_election(8, a0=0.3, script=LEADER_CRASH, seed=4)
         assert a != b
 
     def test_recovered_node_rejoins_as_candidate(self):
         network, status, injector, monitor = build_churn_election_network(
-            6, script=LEADER_CRASH, seed=5, enable_trace=True
+            6, a0=0.3, script=LEADER_CRASH, seed=5, enable_trace=True
         )
         network.stop_when(lambda: injector.quiescent and status.live_leaders == 1)
         network.run(until=5_000.0, max_events=200_000)
@@ -104,8 +105,39 @@ class TestLeaderCrashRecover:
         assert not program.crashed
         assert status.live_leaders == 1
 
+    def test_recovery_anchors_a_fresh_tick_grid(self):
+        # A crash stops the node's ticks; the recovery restarts them on a grid
+        # anchored at the recovery instant, with one activation armed.
+        script = FaultScript(events=(CrashEvent(node=2, time=1.5, downtime=2.25),))
+        network, status, injector, monitor = build_churn_election_network(
+            6, a0=0.3, script=script, seed=5
+        )
+        program = network.programs()[2]
+        network.run(until=2.0)
+        assert program.crashed and not program.ticking
+        crashed_ticks = program.ticks
+        network.run(until=3.75)
+        assert program._anchor == 3.75 and program.ticks == crashed_ticks
+        assert program._timer is not None and not program._timer.cancelled
+
+    def test_idle_node_redraws_when_an_epoch_resets_d(self):
+        # Adopting a higher epoch resets d = 1, which changes an idle node's
+        # activation probability: its spell is redrawn at the new value.
+        network, status, injector, monitor = build_churn_election_network(
+            6, a0=0.3, script=FaultScript(), seed=5
+        )
+        network.run(until=0.0)
+        program = network.programs()[0]
+        program.d = 4
+        program._probability = program.schedule.probability(4)
+        before = program._timer
+        program._adopt_epoch(1)
+        assert program.state is NodeState.IDLE and program.d == 1
+        assert before.cancelled and program._timer is not before
+        assert program._probability == program.schedule.probability(1)
+
     def test_empty_script_matches_plain_election_semantics(self):
-        result = run_churn_election(8, script=FaultScript(), seed=1)
+        result = run_churn_election(8, a0=0.3, script=FaultScript(), seed=1)
         assert result.elected
         assert result.stabilized
         assert result.crashes == 0
@@ -127,7 +159,7 @@ class TestOtherDisruptions:
         script = FaultScript(
             events=(CrashEvent(node=2, time=1.0, downtime=30.0),)
         )
-        result = run_churn_election(8, script=script, seed=7)
+        result = run_churn_election(8, a0=0.3, script=script, seed=7)
         assert result.elected
         assert result.stabilized
         assert result.crashes == 1
@@ -137,7 +169,7 @@ class TestOtherDisruptions:
         script = FaultScript(
             events=(LinkDownEvent(channel=3, time=5.0, duration=20.0),)
         )
-        result = run_churn_election(8, script=script, seed=9)
+        result = run_churn_election(8, a0=0.3, script=script, seed=9)
         assert result.elected
         assert result.stabilized
         assert result.link_outages == 1
@@ -151,7 +183,7 @@ class TestOtherDisruptions:
                 ),
             )
         )
-        result = run_churn_election(8, script=script, seed=11)
+        result = run_churn_election(8, a0=0.3, script=script, seed=11)
         assert result.elected
         assert result.stabilized
         assert result.crashes == 2
@@ -166,7 +198,7 @@ class TestOtherDisruptions:
             )
         )
         assert script.eventually_quiescent
-        result = run_churn_election(8, script=script, seed=13)
+        result = run_churn_election(8, a0=0.3, script=script, seed=13)
         assert result.stabilized
         assert result.crashes == 1
         assert result.recoveries == 1
@@ -182,7 +214,7 @@ class TestTimeoutPath:
             heartbeat_interval=8.0,
             leader_timeout=20.0,
         )
-        result = run_churn_election(8, script=script, seed=3)
+        result = run_churn_election(8, a0=0.3, script=script, seed=3)
         assert result.stabilized
         assert result.suspicions > 0
         assert result.final_epoch > 0

@@ -76,7 +76,7 @@ scripts = st.builds(
 def test_quiescent_scripts_stabilize_deterministically(script, seed):
     assert script.eventually_quiescent  # every generated disruption reverses
     result = run_churn_election(
-        N, script=script, seed=seed, max_time=20_000.0, max_events=400_000
+        N, a0=0.3, script=script, seed=seed, max_time=20_000.0, max_events=400_000
     )
     # Termination with a unique live leader among the (recovered) alive nodes.
     assert result.stabilized
@@ -86,7 +86,7 @@ def test_quiescent_scripts_stabilize_deterministically(script, seed):
     assert result.recoveries == result.crashes  # quiescence realized
     # Purity: the identical call reproduces the identical result object.
     assert result == run_churn_election(
-        N, script=script, seed=seed, max_time=20_000.0, max_events=400_000
+        N, a0=0.3, script=script, seed=seed, max_time=20_000.0, max_events=400_000
     )
 
 

@@ -89,8 +89,10 @@ class TestStoppingRule:
 
     def test_none_metric_values_are_skipped(self):
         # election_time is None for non-elected runs; the rule must not crash
-        # on them.  A tiny max_events forces non-elections.
-        run_one = ElectionTrial(8, 0.3, None, {"max_events": 50})
+        # on them.  A tiny max_events forces non-elections: 16 events on
+        # n = 8 is one short of the cheapest election (n start-ups, one
+        # activation, the winner's n deliveries).
+        run_one = ElectionTrial(8, 0.3, None, {"max_events": 16})
         stats = {}
         results = monte_carlo(
             run_one,

@@ -323,55 +323,58 @@ class TestFifoClamp:
 
 
 class TestElectionBitIdentity:
-    """Golden values recorded on the pre-refactor code (PR 1, commit aa4bb66):
-    the zero-overhead message path must not change a single simulation.
+    """Readable pins on exact election results: the one delay stream (one
+    ``sample`` call per message) and the one activation rule (one Geometric
+    draw per idle spell) must not drift.
 
-    Recorded before batched ticks became the default, so the per-node tick
-    mode is pinned explicitly where the event count is asserted: these tests
-    prove the one delay stream (one ``sample`` call per message) is
-    untouched by later work.
+    First recorded on the pre-refactor code (commit aa4bb66) and
+    re-recorded once when activation switched from one coin per tick to one
+    draw per idle spell (see the golden provenance in
+    ``tests/harness/differential.py``).
     """
 
     def test_scalar_election_golden(self):
-        result = run_election(8, a0=0.3, seed=7, batch_ticks=False)
-        assert result.messages_total == 48
-        assert result.election_time == 36.986563522772045
+        result = run_election(8, a0=0.3, seed=7)
+        assert result.messages_total == 104
+        assert result.election_time == 68.91162243103383
         assert result.leader_uid == 6
-        assert result.events_processed == 142
+        assert result.events_processed == 139
 
     def test_election_trials_golden(self):
         from repro.experiments.workloads import election_trials
 
-        trials = election_trials(8, trials=5, base_seed=13, batch_ticks=False)
+        trials = election_trials(8, trials=5, base_seed=13)
         observed = [
             [t.messages_total, t.election_time, t.leader_uid, t.events_processed]
             for t in trials
         ]
         assert observed == [
-            [8, 33.57261442637278, 0, 249],
-            [8, 19.582557039577022, 0, 154],
-            [8, 9.68304487582973, 7, 54],
-            [8, 14.335346032118206, 1, 99],
-            [16, 26.61571961600581, 3, 106],
+            [8, 20.57261442637278, 5, 17],
+            [16, 28.307247857097764, 0, 27],
+            [8, 9.68304487582973, 7, 17],
+            [8, 11.335346032118204, 7, 17],
+            [16, 21.61571961600581, 3, 27],
         ]
 
     def test_e1_run_golden(self):
-        """A full (reduced-size) E1 run is bit-identical to the pre-refactor
-        engine: same means, same confidence intervals, same findings."""
+        """A full (reduced-size) E1 run is bit-reproducible: same means,
+        same confidence intervals, same findings.  (Four trials per size are
+        far too few for the growth-order finding to mean anything; it is
+        pinned as a value, not as a claim.)"""
         from repro.experiments import e1_message_complexity
 
         result = e1_message_complexity.run(sizes=(8, 16), trials=4, base_seed=11)
         rows = [dict(row) for row in result.table()]
-        assert [row["messages_mean"] for row in rows] == [14.0, 20.0]
+        assert [row["messages_mean"] for row in rows] == [10.0, 32.0]
         assert rows[0]["messages_ci95"] == 6.364892610567416
-        assert rows[1]["messages_ci95"] == 12.729785221134833
-        assert result.findings["best_growth_order"] == "n"
-        assert result.findings["max_messages_per_node"] == 1.75
+        assert rows[1]["messages_ci95"] == 0.0
+        assert result.findings["best_growth_order"] == "n log n"
+        assert result.findings["max_messages_per_node"] == 2.0
         assert result.findings["all_runs_elected"] is True
 
     def test_stop_predicate_timing_unchanged(self):
-        """The before-event hook must stop the run at exactly the same event
-        the old listener-based predicate did (messages_total depends on it)."""
-        network, status = build_election_network(8, a0=0.3, seed=7, batch_ticks=False)
+        """The before-event hook must stop the run at exactly the event that
+        crowns the leader (messages_total depends on it)."""
+        network, status = build_election_network(8, a0=0.3, seed=7)
         result = run_election_on_network(network, status, a0=0.3)
-        assert result.messages_total == network.messages_sent() == 48
+        assert result.messages_total == network.messages_sent() == 104

@@ -177,18 +177,18 @@ class TestCrashEdgeCases:
 
     def test_crash_at_time_zero_sticks_for_ticking_programs(self):
         # A crash scheduled at t=0 sorts before Network.start()'s on_start
-        # events; historically the stop_ticks() inside it was a no-op (no
-        # tick process existed yet) and the "crashed" node kept ticking.  The
-        # injector now requeues once within the same instant so the crash
-        # lands *after* program start-up.
+        # events; historically the halt inside it ran before the program had
+        # armed anything, and the "crashed" node kept ticking.  The injector
+        # requeues once within the same instant so the crash lands *after*
+        # program start-up.
         network, _status = build_election_network(4, a0=0.5, seed=1)
         injector = FaultInjector(network)
         injector.apply_crash(CrashStopFault(node_uid=2, crash_time=0.0))
         network.run(until=30.0, max_events=5000)
         assert injector.nodes_crashed == [2]
         program = network.programs()[2]
-        assert program._tick_process is not None
-        assert program._tick_process.stopped
+        assert not program.ticking
+        assert program.times_activated == 0  # a0=0.5: would activate at once
 
     def test_crash_at_time_zero_on_non_ticking_program_terminates(self):
         # Programs that never start ticks must not requeue forever: the

@@ -107,51 +107,3 @@ def test_abe_election_elects_exactly_one_leader(n, seed, a0, delay):
     assert result.hop_overflows == 0
     assert result.messages_total >= n  # the winning wave alone circles the ring
     assert network.metrics.count("ticks") == result.ticks
-
-
-@given(n=ring_sizes, seed=seeds, a0=st.sampled_from([0.1, 0.3]))
-@SETTINGS
-def test_abe_election_batch_ticks_preserves_outcomes(n, seed, a0):
-    """The shared tick driver elects the same leader at the same time."""
-    from dataclasses import asdict
-
-    from repro.core.runner import run_election
-
-    per_node = asdict(run_election(n, a0=a0, seed=seed, batch_ticks=False))
-    batched = asdict(run_election(n, a0=a0, seed=seed, batch_ticks=True))
-    per_node.pop("events_processed")
-    batched.pop("events_processed")
-    assert per_node == batched
-
-
-@given(
-    n=ring_sizes,
-    seed=seeds,
-    initial_rate=st.sampled_from([0.6, 1.0, 1.4]),
-    step=st.sampled_from([0.0, 0.1, 0.3]),
-)
-@SETTINGS
-def test_abe_election_batch_ticks_preserves_outcomes_under_drift(
-    n, seed, initial_rate, step
-):
-    """Drift-tolerant bucketing: under random-walk clock drift (random rates,
-    steps and seeds) the shared tick driver is bit-identical to per-process
-    ticks in everything but the engine's event granularity."""
-    from dataclasses import asdict
-
-    from repro.core.runner import run_election
-    from repro.sim.clock import RandomWalkDrift
-
-    kwargs = dict(
-        a0=0.3,
-        seed=seed,
-        clock_bounds=(0.5, 2.0),
-        clock_drift_factory=lambda uid: RandomWalkDrift(
-            initial_rate=initial_rate, step=step
-        ),
-    )
-    per_node = asdict(run_election(n, batch_ticks=False, **kwargs))
-    batched = asdict(run_election(n, batch_ticks=True, **kwargs))
-    per_node.pop("events_processed")
-    batched.pop("events_processed")
-    assert per_node == batched

@@ -216,7 +216,7 @@ class TestChaosRecovery:
             topology={"kind": "uniring", "params": {"n": 8}},
             seed=3,
             trials=2,
-            max_events=20,
+            max_events=16,
             on_budget="raise",
         )
         policy = ExecutionPolicy(retries=1)
@@ -261,23 +261,26 @@ class TestKeyboardInterrupt:
 
 
 class TestDivergenceWatchdog:
+    # 16 events on n = 8 is one short of the cheapest possible election:
+    # n start-ups, one activation and the winner's n deliveries.
+
     def test_event_budget_exhaustion_raises_when_asked(self):
         with pytest.raises(SimulationDiverged) as info:
-            run_election(8, seed=3, max_events=20, on_budget="raise")
-        assert info.value.events_processed == 20
-        assert info.value.max_events == 20
+            run_election(8, a0=0.3, seed=3, max_events=16, on_budget="raise")
+        assert info.value.events_processed == 16
+        assert info.value.max_events == 16
 
     def test_default_on_budget_truncates_silently(self):
-        result = run_election(8, seed=3, max_events=20)
+        result = run_election(8, a0=0.3, seed=3, max_events=16)
         assert not result.elected  # truncated, but no exception
 
     def test_completed_run_never_raises(self):
-        result = run_election(8, seed=3, on_budget="raise")
+        result = run_election(8, a0=0.3, seed=3, on_budget="raise")
         assert result.elected
 
     def test_unknown_on_budget_rejected(self):
         with pytest.raises(ValueError):
-            run_election(8, seed=3, on_budget="explode")
+            run_election(8, a0=0.3, seed=3, on_budget="explode")
 
     def test_exception_survives_pickling(self):
         error = SimulationDiverged("boom", 10, 2.5, 100, None)
@@ -292,7 +295,7 @@ class TestDivergenceWatchdog:
             topology={"kind": "uniring", "params": {"n": 8}},
             seed=3,
             trials=1,
-            max_events=20,
+            max_events=16,
             on_budget="raise",
         )
         with pytest.raises(SimulationDiverged):
@@ -309,7 +312,7 @@ class TestResultCodec:
         assert decode_result(encode_result(value)) == value
 
     def test_dataclass_round_trips_field_for_field(self):
-        result = run_election(6, seed=1)
+        result = run_election(6, a0=0.3, seed=1)
         clone = decode_result(encode_result(result))
         assert clone == result  # dataclass __eq__: every field, exact floats
 
@@ -325,7 +328,7 @@ class TestCheckpointStore:
 
     def test_record_and_lookup_round_trip(self, tmp_path):
         path = tmp_path / "checkpoint.sqlite"
-        result = run_election(6, seed=1)
+        result = run_election(6, a0=0.3, seed=1)
         with ResultStore(path, fresh=True) as store:
             assert store.record("key", 123, result)
             assert not store.record("key", 123, result)  # idempotent

@@ -77,6 +77,10 @@ class TestSpecValidation:
         # one remaining delay stream.
         with pytest.raises(ValueError, match="batch_sampling"):
             ScenarioSpec.from_dict({"batch_sampling": False})
+        # Likewise the per-tick mode switch: activation is one timer per
+        # idle spell, and there is no second tick path left to select.
+        with pytest.raises(ValueError, match="batch_ticks"):
+            ScenarioSpec.from_dict({"batch_ticks": True})
 
     def test_node_shorthand_string(self):
         spec = ScenarioSpec(delay="exponential")

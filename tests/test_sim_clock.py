@@ -152,3 +152,51 @@ class TestDriftingClocks:
             SinusoidalDrift(mean_rate=1.0, amplitude=-1.0)
         with pytest.raises(ValueError):
             SinusoidalDrift(mean_rate=1.0, period=0.0)
+
+
+class TestLazyReach:
+    """``LocalClock.reach``: exact once mapped, a wake-up instant before."""
+
+    def _drifting(self):
+        return LocalClock(
+            s_low=0.5,
+            s_high=2.0,
+            drift_model=RandomWalkDrift(initial_rate=1.25, step=0.15),
+            rng=random.Random(5),
+        )
+
+    def test_identity_clock_answers_exactly_at_once(self):
+        clock = LocalClock()
+        assert clock.reach(3.5, 1000.0) == (1000.0, True)
+        assert clock._segments == []  # the identity map never builds segments
+
+    def test_far_target_wakes_without_mapping_ahead(self):
+        clock = self._drifting()
+        instant, exact = clock.reach(0.0, 500.0)
+        assert not exact
+        # The earliest the reading can be reached, and no further map than
+        # one segment past now.
+        assert instant == pytest.approx(500.0 / 2.0)
+        assert len(clock._segments) == 1
+
+    def test_wake_up_is_strictly_later_and_converges_to_the_exact_instant(self):
+        clock = self._drifting()
+        reference = self._drifting()
+        target = 40.0
+        now, wakes = 0.0, 0
+        while True:
+            instant, exact = clock.reach(now, target)
+            if exact:
+                break
+            assert instant > now
+            assert clock._segments[-1].real_end <= now + 1.0 + 1e-9
+            now, wakes = instant, wakes + 1
+        assert instant == pytest.approx(reference.real_time_for_local(target))
+        assert 0 < wakes < 40
+
+    def test_mapped_target_is_exact(self):
+        clock = self._drifting()
+        clock.local_time(10.0)  # the map now covers [0, 10]
+        target = clock.local_time(7.25)
+        instant, exact = clock.reach(2.0, target)
+        assert exact and instant == pytest.approx(7.25)

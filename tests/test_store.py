@@ -311,7 +311,7 @@ class TestResultStore:
         silently, re-executing the trial on every warm run."""
         from repro.core.runner import run_election
 
-        result = run_election(8, seed=7, core="vector")
+        result = run_election(8, a0=0.3, seed=7, core="vector")
         assert result.leader_uid == 7 and type(result.leader_uid) is int
         with ResultStore(tmp_path / "results.sqlite") as store:
             assert store.record_many("vector", [(7, result)]) == 1

@@ -5,7 +5,9 @@ note in ``tests/harness/differential.py``), so these tests check engine
 *semantics* -- determinism, the election invariants, fault handling, budget
 classification and the ``core="vector"`` dispatch contract -- rather than
 event-for-event equality with the object core.  Distributional agreement
-with the object core is covered by ``tests/test_property_vector_core.py``.
+with the object core and a per-tick reference is checked by two-sample KS
+tests in ``tests/oracles/test_activation_parity.py``; the election contract
+both cores share is property-tested in ``tests/test_property_vector_core.py``.
 """
 
 from __future__ import annotations
@@ -25,22 +27,22 @@ from repro.network.delays import ConstantDelay, ExponentialDelay, UniformDelay
 #: heap.  Any change to the heap layout, tie order (push order at equal
 #: times) or stream consumption moves at least one of these.
 SAMPLE_PATH_PINS = [
-    ("exponential-n8", dict(n=8, seed=1),
+    ("exponential-n8", dict(n=8, a0=0.3, seed=1),
      ElectionResult(8, True, 5, 41.56268562442386, 72, 7, 20, 99, 0, 113, 1, 0.3, 1)),
-    ("exponential-n64", dict(n=64, seed=2),
+    ("exponential-n64", dict(n=64, a0=0.3, seed=2),
      ElectionResult(64, True, 50, 1751.3950775447413, 4992, 63, 392, 5453, 0, 6743, 2, 0.3, 1)),
     ("exponential-n1000", dict(n=1000, a0=0.001, seed=3),
      ElectionResult(1000, True, 570, 88973.18573246818, 291000, 999, 1308, 337894, 0,
                     379973, 3, 0.001, 1)),
     ("constant-ties", dict(n=64, a0=0.02, seed=4, delay=ConstantDelay(1.0)),
      ElectionResult(64, True, 58, 775.0, 1536, 63, 63, 2369, 0, 2311, 4, 0.02, 1)),
-    ("fifo", dict(n=64, seed=5, fifo=True),
+    ("fifo", dict(n=64, a0=0.3, seed=5, fifo=True),
      ElectionResult(64, True, 21, 1471.7098128464738, 4096, 63, 301, 4513, 0, 5567, 5, 0.3, 1)),
     ("loss", dict(n=16, a0=0.1, seed=6, message_loss=0.05),
      ElectionResult(16, False, None, None, 46, 13, 14, 192, 0, 88, 6, 0.1, 0)),
-    ("processing", dict(n=64, seed=7, processing_delay=ExponentialDelay(mean=0.2)),
+    ("processing", dict(n=64, a0=0.3, seed=7, processing_delay=ExponentialDelay(mean=0.2)),
      ElectionResult(64, True, 44, 2780.4895802452565, 7168, 63, 582, 9170, 0, 9948, 7, 0.3, 1)),
-    ("crash", dict(n=64, seed=8, crashes=[(1, 3.0)]),
+    ("crash", dict(n=64, a0=0.3, seed=8, crashes=[(1, 3.0)]),
      ElectionResult(64, False, None, None, 516, 51, 162, 1382, 0, 597, 8, 0.3, 0)),
     ("purge-off", dict(n=16, a0=0.1, seed=9, purge_at_active=False, max_events=20000),
      ElectionResult(16, False, None, None, 19993, 16, 7, 66, 19911, 20000, 9, 0.1, 0)),
