@@ -26,6 +26,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
     entry_points={"console_scripts": ["abe-repro = repro.cli:main"]},
 )

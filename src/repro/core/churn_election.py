@@ -106,11 +106,11 @@ class ChurnElectionStatus(ElectionStatus):
     heartbeats: int = 0
     suspicions: int = 0
 
-    def bind_metrics(self, metrics) -> None:
-        super().bind_metrics(metrics)
-        metrics.bind_external_sum("heartbeats", self, lambda: self.heartbeats)
-        metrics.bind_external_sum("suspicions", self, lambda: self.suspicions)
-        metrics.bind_external_sum("live_leaders", self, lambda: self.live_leaders)
+    COUNTERS = ElectionStatus.COUNTERS + (
+        ("heartbeats", "heartbeats"),
+        ("suspicions", "suspicions"),
+        ("live_leaders", "live_leaders"),
+    )
 
 
 class ChurnAwareElectionProgram(AbeElectionProgram):

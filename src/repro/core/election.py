@@ -65,6 +65,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 from repro.core.activation import ActivationSchedule, AdaptiveActivation
@@ -118,10 +119,20 @@ class ElectionStatus:
     knockouts: int = 0
     hop_overflows: int = 0
 
+    #: ``(counter name, attribute)`` pairs published by :meth:`bind_metrics`.
+    COUNTERS = (
+        ("ticks", "ticks"),
+        ("activations", "activations"),
+        ("knockout_messages", "knockouts"),
+        ("hop_overflows", "hop_overflows"),
+        ("leaders_elected", "leaders_elected"),
+    )
+
     def __post_init__(self) -> None:
         # Every program sharing this status registers itself at bind time;
-        # an attribute, not a field, so results and reprs never walk it.
+        # attributes, not fields, so results and reprs never walk them.
         self.programs: List["AbeElectionProgram"] = []
+        self._metrics = None
 
     @property
     def decided(self) -> bool:
@@ -139,17 +150,18 @@ class ElectionStatus:
         return any(program.ticking for program in self.programs)
 
     def bind_metrics(self, metrics) -> None:
-        """Expose this status's plain counters through ``metrics`` (idempotent).
+        """Expose the :attr:`COUNTERS` through ``metrics`` (idempotent).
 
-        Called by every program sharing the status; the collector keys the
-        registration on the status object itself, so the counters are summed
-        exactly once per status no matter how many nodes bind it.
+        Called by every program sharing the status; only the first call per
+        collector registers the getters, and the collector keys them on the
+        status object itself, so the counters are summed exactly once per
+        status no matter how many nodes bind it.
         """
-        metrics.bind_external_sum("ticks", self, lambda: self.ticks)
-        metrics.bind_external_sum("activations", self, lambda: self.activations)
-        metrics.bind_external_sum("knockout_messages", self, lambda: self.knockouts)
-        metrics.bind_external_sum("hop_overflows", self, lambda: self.hop_overflows)
-        metrics.bind_external_sum("leaders_elected", self, lambda: self.leaders_elected)
+        if metrics is self._metrics:
+            return
+        self._metrics = metrics
+        for name, attribute in self.COUNTERS:
+            metrics.bind_external_sum(name, self, partial(getattr, self, attribute))
 
 
 class AbeElectionProgram(NodeProgram):

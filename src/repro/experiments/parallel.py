@@ -39,6 +39,7 @@ from repro.experiments.resilience import (
     run_trial,
     supervised_map,
 )
+from repro.stats.confidence import relative_half_width
 
 if TYPE_CHECKING:
     from repro.experiments.runner import AdaptiveStopping
@@ -273,8 +274,6 @@ class SweepPool:
         if adaptive is None:
             outcomes = self.run_seeds(run_one, trial_seeds(base_seed, trials, label), key)
             return outcomes if keep is None else [o for o in outcomes if keep(o)]
-
-        from repro.stats.confidence import relative_half_width  # scipy: import late
 
         adaptive = adaptive.resolved("messages_total")
         max_trials = adaptive.max_trials if adaptive.max_trials is not None else trials

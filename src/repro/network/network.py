@@ -148,19 +148,21 @@ class Network:
 
     def _build_nodes(self, program_factory: Callable[[int], NodeProgram]) -> None:
         s_low, s_high = self.config.clock_bounds
+        drift_factory = self.config.clock_drift_factory
         for uid in range(self.topology.n):
             node_rng = self.random_source.stream(f"node/{uid}")
-            drift = (
-                self.config.clock_drift_factory(uid)
-                if self.config.clock_drift_factory is not None
-                else None
-            )
-            clock = LocalClock(
-                s_low=s_low,
-                s_high=s_high,
-                drift_model=drift,
-                rng=self.random_source.stream(f"clock/{uid}"),
-            )
+            # Only a drift model can draw from a clock stream: the default
+            # constant-rate clocks get none (a stream's seed depends only on
+            # its name, so skipping one leaves every other stream as it was).
+            if drift_factory is None:
+                clock = LocalClock(s_low=s_low, s_high=s_high)
+            else:
+                clock = LocalClock(
+                    s_low=s_low,
+                    s_high=s_high,
+                    drift_model=drift_factory(uid),
+                    rng=self.random_source.stream(f"clock/{uid}"),
+                )
             node = Node(uid=uid, network=self, clock=clock, rng=node_rng)
             if self.config.size_known:
                 node.knowledge["n"] = self.topology.n

@@ -10,9 +10,8 @@ shapes used in the paper and the experiments:
   :func:`complete_graph`, :func:`tree_topology`, :func:`grid_topology` --
   standard shapes used by the synchronizer experiments and by the baseline
   algorithms.
-* :func:`random_connected` -- Erdős–Rényi graphs conditioned on connectivity
-  (via :mod:`networkx`), used to measure synchronizer overhead on irregular
-  topologies.
+* :func:`random_connected` -- Erdős–Rényi graphs conditioned on connectivity,
+  used to measure synchronizer overhead on irregular topologies.
 
 All builders return *directed* edge lists; an "undirected" link is represented
 by the two directed edges, each of which becomes its own simulated channel.
@@ -21,10 +20,10 @@ by the two directed edges, each of which becomes its own simulated channel.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from itertools import combinations
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "Topology",
@@ -100,21 +99,27 @@ class Topology:
         return len(self.edges)
 
     def is_strongly_connected(self) -> bool:
-        """Whether every node can reach every other node along directed edges."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(self.edges)
-        return nx.is_strongly_connected(graph)
+        """Whether every node can reach every other node along directed edges.
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a :class:`networkx.DiGraph` (for analysis/plotting)."""
-        graph = nx.DiGraph(name=self.name)
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(self.edges)
-        return graph
+        True exactly when node 0 reaches every node and every node reaches
+        node 0: a forward and a reverse search from node 0.
+        """
+        return _reaches_all(self._out_map) and _reaches_all(self._in_map)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Topology(name={self.name!r}, n={self.n}, edges={self.edge_count})"
+
+
+def _reaches_all(neighbours: Dict[int, List[int]]) -> bool:
+    """Whether a graph search from node 0 along ``neighbours`` finds every node."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        for node in neighbours[frontier.pop()]:
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    return len(seen) == len(neighbours)
 
 
 # --------------------------------------------------------------------- builders
@@ -221,32 +226,48 @@ def grid_topology(rows: int, cols: int, wrap: bool = False) -> Topology:
     return Topology(n=n, edges=edges, name=f"{kind}-{rows}x{cols}")
 
 
+def _gnp_links(n: int, edge_probability: float, seed: int) -> List[Tuple[int, int]]:
+    """One G(n, p) sample: the pairs ``u < v`` in lexicographic order.
+
+    Each pair of :func:`itertools.combinations` is kept when a fresh
+    ``random.Random(seed)`` draws below ``p``, which is the classic G(n, p)
+    generator (and networkx 3's ``gnp_random_graph``) draw for draw.
+    """
+    if edge_probability >= 1.0:
+        return list(combinations(range(n), 2))
+    if edge_probability <= 0.0:
+        return []
+    draw = random.Random(seed).random
+    return [pair for pair in combinations(range(n), 2) if draw() < edge_probability]
+
+
+def _undirected(n: int, links: Iterable[Tuple[int, int]], name: str) -> Topology:
+    """Both directions of every link, each link's pair of edges in a row."""
+    edges: List[Tuple[int, int]] = []
+    for u, v in links:
+        edges.append((u, v))
+        edges.append((v, u))
+    return Topology(n=n, edges=edges, name=name)
+
+
 def random_connected(n: int, edge_probability: float, seed: int) -> Topology:
     """A connected Erdős–Rényi graph, links bidirectional.
 
-    The generator keeps drawing G(n, p) samples (with deterministic,
-    seed-derived sub-seeds) until it finds a connected one, then adds both
-    directions of every undirected edge.  A spanning-tree fallback guarantees
-    termination even for very small ``edge_probability``.
+    The generator draws G(n, p) samples with seeds ``seed``, ``seed + 1``,
+    ... until one is connected, then adds both directions of every link.
+    After 50 disconnected samples the path ``0 - 1 - ... - n-1`` joined to
+    the first sample guarantees termination even for very small
+    ``edge_probability``.
     """
     if n < 2:
         raise ValueError(f"a random graph needs n >= 2, got {n}")
     if not (0.0 <= edge_probability <= 1.0):
         raise ValueError("edge_probability must be in [0, 1]")
-    graph = None
+    name = f"gnp-{n}-p{edge_probability:g}"
     for attempt in range(50):
-        candidate = nx.gnp_random_graph(n, edge_probability, seed=seed + attempt)
-        if nx.is_connected(candidate):
-            graph = candidate
-            break
-    if graph is None:
-        # Guarantee connectivity: a random spanning tree plus the last sample's edges.
-        graph = nx.gnp_random_graph(n, edge_probability, seed=seed)
-        nodes = list(graph.nodes())
-        for i in range(1, n):
-            graph.add_edge(nodes[i - 1], nodes[i])
-    edges: List[Tuple[int, int]] = []
-    for u, v in sorted(graph.edges()):
-        edges.append((u, v))
-        edges.append((v, u))
-    return Topology(n=n, edges=edges, name=f"gnp-{n}-p{edge_probability:g}")
+        topology = _undirected(n, _gnp_links(n, edge_probability, seed + attempt), name)
+        if topology.is_strongly_connected():
+            return topology
+    links = set(_gnp_links(n, edge_probability, seed))
+    links.update((i - 1, i) for i in range(1, n))
+    return _undirected(n, sorted(links), name)

@@ -160,7 +160,9 @@ class LocalClock:
         perfect clock (rate 1 if ``s_low <= 1 <= s_high``, otherwise the
         midpoint of the admissible interval).
     rng:
-        Random stream driving the drift model.
+        Random stream driving the drift model.  Without one the clock seeds
+        ``random.Random(0)`` when it maps its first segment; an identity clock
+        (the default: rate 1 from time 0) maps none, so it never seeds one.
     start_real, start_local:
         Initial real and local times; both default to 0.
 
@@ -190,7 +192,7 @@ class LocalClock:
             default_rate = 1.0 if s_low <= 1.0 <= s_high else (s_low + s_high) / 2.0
             drift_model = ConstantRateDrift(default_rate)
         self.drift_model = drift_model
-        self._rng = rng if rng is not None else random.Random(0)
+        self._rng: Optional[random.Random] = rng
         self._segments: List[_Segment] = []
         self._start_real = float(start_real)
         self._start_local = float(start_local)
@@ -221,6 +223,8 @@ class LocalClock:
     def _extend_to(self, real_time: float) -> None:
         """Generate segments until the map covers ``real_time``."""
         if not self._segments:
+            if self._rng is None:
+                self._rng = random.Random(0)
             rate = self._clamp(self.drift_model.next_rate(0, self._rng))
             length = self.drift_model.segment_length(0, self._rng)
             self._segments.append(

@@ -55,13 +55,24 @@ class SynchronizerStatus:
     control_messages: int = 0
     rounds_completed: int = 0
 
+    def __post_init__(self) -> None:
+        # The collector bind_metrics last registered with; not a field.
+        self._metrics = None
+
     @property
     def all_finished(self) -> bool:
         """Whether every node has completed its final round."""
         return self.total_nodes > 0 and self.finished_nodes >= self.total_nodes
 
     def bind_metrics(self, metrics) -> None:
-        """Expose the shared counters through ``metrics`` (idempotent)."""
+        """Expose the shared counters through ``metrics`` (idempotent).
+
+        Every program calls this from ``bind``; only the first call per
+        collector registers the getters.
+        """
+        if metrics is self._metrics:
+            return
+        self._metrics = metrics
         metrics.bind_external_sum(
             "algorithm_messages", self, lambda: self.algorithm_messages
         )

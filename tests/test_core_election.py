@@ -13,6 +13,8 @@ from repro.core.verification import ElectionInvariantError, verify_election
 from repro.network.delays import ConstantDelay, ExponentialDelay
 from repro.network.network import Network, NetworkConfig
 from repro.network.topology import line_topology, unidirectional_ring
+from repro.sim.clock import RandomWalkDrift
+from repro.sim.monitor import MetricsCollector
 
 
 class TestStateMachineRules:
@@ -361,6 +363,67 @@ class TestA0Default:
     def test_prebuilt_network_reports_its_own_a0(self):
         network, status = build_election_network(8, a0=0.05, seed=1)
         assert run_election_on_network(network, status).a0 == 0.05
+
+
+class TestConstruction:
+    """What building an election network seeds, and the counters it publishes."""
+
+    @staticmethod
+    def _clock_streams(network):
+        return sorted(
+            name for name in network.random_source.known_streams() if name.startswith("clock/")
+        )
+
+    def test_default_clocks_seed_no_stream(self):
+        network, _ = build_election_network(16, seed=3)
+        assert self._clock_streams(network) == []
+        streams = set(network.random_source.known_streams())
+        assert {f"node/{uid}" for uid in range(16)} <= streams
+        assert {f"channel/{cid}" for cid in range(16)} <= streams
+
+    def test_drifting_clocks_seed_one_stream_each(self):
+        network, _ = build_election_network(
+            16, seed=3, clock_drift_factory=lambda uid: RandomWalkDrift(step=0.05)
+        )
+        assert self._clock_streams(network) == sorted(f"clock/{uid}" for uid in range(16))
+
+    def test_status_counters_read_back_once(self):
+        network, status = build_election_network(16, a0=0.3, seed=5)
+        result = run_election_on_network(network, status)
+        assert result.elected and status.activations > 0
+        counts = {name: network.metrics.count(name) for name, _ in ElectionStatus.COUNTERS}
+        assert counts == {
+            "ticks": status.ticks,
+            "activations": status.activations,
+            "knockout_messages": status.knockouts,
+            "hop_overflows": status.hop_overflows,
+            "leaders_elected": 1,
+        }
+
+    def test_hand_built_network_sharing_one_status(self):
+        status = ElectionStatus()
+        config = NetworkConfig(
+            topology=unidirectional_ring(6),
+            delay_model=ExponentialDelay(1.0),
+            seed=2,
+            enable_trace=False,
+        )
+        network = Network(
+            config, lambda uid: AbeElectionProgram(status, schedule=AdaptiveActivation(0.3))
+        )
+        network.stop_when(lambda: status.decided)
+        network.run(max_events=100_000)
+        assert len(status.programs) == 6 and status.decided
+        for name, attribute in ElectionStatus.COUNTERS:
+            assert network.metrics.count(name) == getattr(status, attribute)
+        assert network.metrics.counters()["leaders_elected"] == 1
+
+    def test_rebinding_across_collectors_never_double_counts(self):
+        status = ElectionStatus(activations=3)
+        first, second = MetricsCollector(), MetricsCollector()
+        for metrics in (first, first, second, first, second):
+            status.bind_metrics(metrics)
+        assert first.count("activations") == second.count("activations") == 3
 
 
 class TestVerificationChecker:

@@ -141,6 +141,18 @@ class TestDriftingClocks:
         for start in (0.0, 3.7, 19.2):
             assert clock.real_duration_for_local(start, 1.0) > 0.0
 
+    def test_clock_without_a_stream_draws_from_random_zero(self):
+        def walk(rng):
+            clock = LocalClock(
+                s_low=0.5,
+                s_high=2.0,
+                drift_model=RandomWalkDrift(initial_rate=1.0, step=0.2),
+                rng=rng,
+            )
+            return [clock.local_time(t / 2.0) for t in range(60)]
+
+        assert walk(None) == walk(random.Random(0))
+
     def test_drift_model_validation(self):
         with pytest.raises(ValueError):
             RandomWalkDrift(initial_rate=-1.0)
