@@ -1,15 +1,16 @@
 """Microbenchmark of the columnar election engine (ticks/sec vs object core).
 
-A small base activation parameter stretches the idle-ticking phase, so the
-vector core's throughput is dominated by its per-round coin machinery: one
-uniform block per activation round compared against the probability column.
-The object core counts the same ticks in closed form (one activation timer
-per idle spell).
+A small base activation parameter stretches the idle-ticking phase and
+multiplies knock-backs, so each election simulates tens of thousands of
+ticks and hundreds of idle spells.  Both cores apply one activation rule --
+one Geometric wait per idle spell, ticks counted in closed form -- so
+ticks/sec compares what each engine pays per election of the same
+distribution: node, channel and timer objects on the simulator against
+flat lists on one tuple heap.
 
 ``test_bench_vector_core_speedup_vs_object`` gates the vector core at
->= 3x the object core's default-path ticks/sec (``VECTOR_SPEEDUP_GATE``
-overrides; CI sets it lower because shared runners are noisy) against the
-object core's only path.
+>= 3x the object core's ticks/sec (``VECTOR_SPEEDUP_GATE`` overrides; CI
+sets it lower because shared runners are noisy).
 
 The two engines draw from different random streams by design (see the
 stream-migration note in ``tests/harness/differential.py``), so unlike the

@@ -5,17 +5,18 @@ election algorithm for anonymous, unidirectional ABE rings of known size --
 together with the helpers the experiments need:
 
 * :mod:`repro.core.messages` -- the ``<hop>`` messages travelling on the ring.
-* :mod:`repro.core.activation` -- the activation-probability schedules: the
+* :mod:`repro.core.activation` -- the activation-probability schedules (the
   paper's adaptive ``1 - (1 - A0)^d`` rule and the naive constant rule used as
-  an ablation baseline.
+  an ablation baseline) and the one-draw-per-idle-spell wait both engines
+  use.
 * :mod:`repro.core.election` -- the per-node state machine
   (idle / active / passive / leader).
 * :mod:`repro.core.runner` -- :func:`~repro.core.runner.run_election`, the
   high-level API that builds an ABE ring, runs the algorithm and returns an
   :class:`~repro.core.runner.ElectionResult`.
 * :mod:`repro.core.vector_core` -- the columnar numpy engine behind
-  ``run_election(core="vector")``: same state machine, flat-array state,
-  one vectorized activation round per tick instant.
+  ``run_election(core="vector")``: same state machine and activation rule,
+  flat per-node state, one event heap.
 * :mod:`repro.core.analysis` -- closed-form reference quantities (wake-up
   pressure, asymptotic baselines) used by tests and benchmark tables.
 * :mod:`repro.core.verification` -- execution checkers for the safety and

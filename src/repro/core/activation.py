@@ -14,13 +14,59 @@ This ensures that the algorithm has linear time and message complexity."
 :class:`ConstantActivation` (always ``A0``) is the naive alternative; the
 ablation experiment A1 shows that it loses the constant-pressure property and
 with it the linear complexity, which is why the adaptive rule matters.
+
+Both election cores apply the rule once per *idle spell* rather than once
+per tick: ``d`` -- and with it ``p`` -- changes only on a receipt, and a
+receipt always ends the spell, so the wait in ticks is Geometric(p).
+:func:`geometric_wait` draws it and :func:`grid_ticks` counts the ticks a
+node has consumed, in closed form.
 """
 
 from __future__ import annotations
 
 import abc
+import math
+from typing import Optional
 
-__all__ = ["ActivationSchedule", "AdaptiveActivation", "ConstantActivation"]
+__all__ = [
+    "ActivationSchedule",
+    "AdaptiveActivation",
+    "ConstantActivation",
+    "geometric_wait",
+    "grid_ticks",
+]
+
+
+def geometric_wait(probability: float, uniform: float) -> Optional[int]:
+    """Ticks until an idle node activates, K ~ Geometric(``probability``).
+
+    The inverse CDF of the number of ``probability`` coin flips up to and
+    including the first success, applied to one ``uniform`` in ``[0, 1)``.
+    ``None`` means the node never activates (``probability <= 0``).  The
+    caller draws ``uniform`` even then, so a stream's consumption does not
+    depend on ``probability``.
+    """
+    if probability >= 1.0:
+        return 1
+    if probability <= 0.0:
+        return None
+    return 1 + int(math.log(1.0 - uniform) / math.log1p(-probability))
+
+
+def grid_ticks(anchor: float, reading: float, period: float) -> int:
+    """Ticks ``anchor + k * period`` (``k >= 1``) at or before ``reading``.
+
+    A tick at ``reading`` itself counts: activations fire before
+    same-instant deliveries, so by the time anything else happens at that
+    instant the tick has been consumed.
+    """
+    count = int((reading - anchor) // period)
+    # Floor division may round across a tick; settle on the exact grid.
+    while anchor + (count + 1) * period <= reading:
+        count += 1
+    while count > 0 and anchor + count * period > reading:
+        count -= 1
+    return count
 
 
 def _validate_base(a0: float) -> float:

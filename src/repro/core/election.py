@@ -36,8 +36,10 @@ The rule above flips a coin at every tick, but ``d`` -- and with it the
 probability ``p = 1 - (1 - A0)^d`` -- changes only on a receipt, and a
 receipt always ends the idle spell.  So the number of ticks an idle node
 waits is Geometric(p), and the program draws it once per *idle spell*
-(one uniform from the node's ``node/{uid}`` stream) and arms a single
-activation timer for that tick, instead of flipping every coin:
+(:func:`~repro.core.activation.geometric_wait` on one uniform from the
+node's ``node/{uid}`` stream) and arms a single activation timer for that
+tick, instead of flipping every coin.  The vector core applies the same
+rule (:mod:`repro.core.vector_core`):
 
 * a spell starts at start-up and on every return to idle (knock-back; in
   the churn program also recovery, suspicion, epoch adoption and
@@ -46,7 +48,7 @@ activation timer for that tick, instead of flipping every coin:
   anchored when the node starts ticking and re-anchored when it restarts
   after knock-out, crowning or a crash stopped it;
 * the timer fires before same-instant message deliveries (priority
-  ``ACTIVATION_PRIORITY``), the vector core's "rounds win ties";
+  ``ACTIVATION_PRIORITY``);
 * knock-out, crowning and a crash (:meth:`AbeElectionProgram.halt`) cancel
   it;
 * ``ElectionStatus.ticks`` counts, in closed form, the grid ticks inside
@@ -63,12 +65,16 @@ covers the target tick.  Counters stay plain integers on the shared
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional
 
-from repro.core.activation import ActivationSchedule, AdaptiveActivation
+from repro.core.activation import (
+    ActivationSchedule,
+    AdaptiveActivation,
+    geometric_wait,
+    grid_ticks,
+)
 from repro.core.messages import HopMessage
 from repro.network.node import Node, NodeProgram
 from repro.sim.events import EventHandle
@@ -270,26 +276,11 @@ class AbeElectionProgram(NodeProgram):
 
     def _ticks_elapsed(self, now: float) -> int:
         """Grid ticks in ``(anchor, now]`` -- a tick at ``now`` has fired."""
-        reading = self._clock.local_time(now)
-        anchor = self._anchor
-        period = self.tick_period
-        count = int((reading - anchor) // period)
-        # Floor division may round across a tick; settle on the exact grid.
-        while anchor + (count + 1) * period <= reading:
-            count += 1
-        while count > 0 and anchor + count * period > reading:
-            count -= 1
-        return count
+        return grid_ticks(self._anchor, self._clock.local_time(now), self.tick_period)
 
     def _draw_wait(self) -> Optional[int]:
         """Ticks until activation, K ~ Geometric(p); ``None`` if ``p = 0``."""
-        probability = self._probability
-        uniform = self._rng_random()
-        if probability >= 1.0:
-            return 1
-        if probability <= 0.0:
-            return None
-        return 1 + int(math.log(1.0 - uniform) / math.log1p(-probability))
+        return geometric_wait(self._probability, self._rng_random())
 
     def _begin_idle_spell(self) -> None:
         """Draw this idle spell's wait and arm its one activation timer."""

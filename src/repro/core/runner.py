@@ -66,7 +66,11 @@ class ElectionResult:
         non-zero values indicate a violated invariant and are surfaced by the
         verification layer).
     events_processed:
-        Discrete events executed by the simulator.
+        Discrete events executed by the engine.  The object core counts one
+        start-up per node, one timer per activation (plus wake-ups that
+        re-aim it on a drifting clock), one event per delivery and any
+        fault events; the vector core counts activations plus deliveries.
+        Compare the figure within one core.
     seed:
         Master seed of the run.
     a0:
@@ -274,8 +278,8 @@ def run_election(
 
     ``core`` selects the engine: ``"object"`` is the per-node implementation
     (one activation timer per idle spell, see :mod:`repro.core.election`);
-    ``"vector"`` runs the same state machine on the columnar
-    :class:`~repro.core.vector_core.VectorRingElection` engine (own
+    ``"vector"`` runs the same state machine and activation rule on the
+    columnar :class:`~repro.core.vector_core.VectorRingElection` engine (own
     seed-deterministic numpy streams, so a *different sample path* per seed
     -- see the stream-migration note in :mod:`repro.core.vector_core`).
     The vector core rejects per-node clock knobs (``clock_bounds`` other
@@ -294,7 +298,7 @@ def run_election(
     if core == "vector":
         if tuple(clock_bounds) != (1.0, 1.0):
             raise ValueError(
-                "core='vector' shares one activation round across the ring and "
+                "core='vector' shares one tick grid across the ring and "
                 "does not support clock_bounds != (1, 1); use core='object'"
             )
         if clock_drift_factory is not None:

@@ -12,8 +12,8 @@ is compared bit-for-bit against a JSON snapshot.
 Golden provenance
 -----------------
 The goldens were first generated at commit ``19a8dd0``, before the
-election-core refactor.  Three intended stream / event-accounting changes
-have re-pointed them since:
+election-core refactor.  Four intended stream / event-accounting changes
+have re-pointed or extended them since:
 
 * **Fast defaults.**  Batched ticks (``batch_ticks``) and a block delay
   sampler became the library defaults.  ``election_scalar_n16`` pinned the
@@ -48,21 +48,39 @@ have re-pointed them since:
   two-sample KS tests against the vector core and against the per-tick
   reference in ``harness/per_tick_reference.py``.  ``code_version()``
   changed again, so stores recorded before the switch go stale.
+* **One activation rule (vector core).**  The vector core stopped flipping
+  one coin vector per activation round (stream ``vector/coins``) and took
+  the object core's rule: each idle spell draws its wait once, K ~
+  Geometric(1 - (1 - A0)^d), at start-up for all ``n`` nodes from one
+  uniform vector and on every knock-back from the next uniform, both on the
+  new ``vector/waits`` stream.  Activations became heap entries that pop
+  ahead of same-instant deliveries, ``events_processed`` became
+  activations plus deliveries (it counted rounds plus deliveries), and
+  ``ticks`` is counted in closed form.  The nine results that
+  ``tests/test_vector_core.py`` had pinned as literals moved into the
+  ``vector_core_sample_paths`` golden, recorded once after the switch; the
+  ``election_*``, ``baseline_*``, ``sync_*`` and ``experiment_*`` goldens
+  passed unchanged.  Correctness across the switch rests on the KS oracle,
+  whose object-vs-vector rows passed at their fixed seeds, trial counts and
+  significance level.  The new golden file moves ``code_version()``, so
+  vector results stored before the switch go stale.
 
 Stream migration (vector core)
 ------------------------------
-The columnar engine (``repro.core.vector_core``, PR 7) draws from its own
-seed-deterministic numpy streams (``vector/coins``, ``vector/delays``,
+The columnar engine (``repro.core.vector_core``) draws from its own
+seed-deterministic numpy streams (``vector/waits``, ``vector/delays``,
 ``vector/processing``, ``vector/loss``) instead of replaying the object
-core's per-node Python streams -- one uniform block per activation round is
-the whole point of the vectorization, so event-for-event stream equality is
-*not* a design goal.  The goldens therefore stay pinned to the object core
-and are untouched; the vector core is checked against the object core
-**distributionally** (two-sample KS tests on messages, election time,
+core's per-node Python streams, so event-for-event equality with the object
+core is *not* a design goal.  The vector core is checked against the object
+core **distributionally** (two-sample KS tests on messages, election time,
 activations and ticks in ``tests/oracles/test_activation_parity.py``) and
 **invariantly** (unique leader, agreement, exactly ``n - 1`` knockouts on
 the clean path) in ``tests/test_vector_core.py`` and
-``tests/test_property_vector_core.py``.
+``tests/test_property_vector_core.py``.  Its own sample paths are pinned by
+the ``vector_core_sample_paths`` golden: nine full results over
+:func:`vector_core_cases`, so a change to the vector core's streams, tie
+order or accounting moves :func:`repro.store.code_version` like any other
+golden re-record.
 
 **Differential mode** -- any two fingerprints are compared field by field
 (:func:`assert_equivalent`), with a readable diff of every mismatching path;
@@ -532,3 +550,31 @@ def _experiment_e3() -> Dict[str, Any]:
     return fingerprint_experiment(
         e3_activation_parameter.run(n=8, multipliers=(0.5, 1.0), trials=3, base_seed=33)
     )
+
+
+def vector_core_cases() -> List[Tuple[str, Dict[str, Any]]]:
+    """The vector core's pinned configurations, as ``run_vector_election`` kwargs.
+
+    Exponential delays at n = 8, 64 and 1000, ``ConstantDelay`` ties, FIFO,
+    message loss, processing delay, a crash and purging switched off.
+    """
+    from repro.network.delays import ConstantDelay, ExponentialDelay
+
+    return [
+        ("exponential-n8", dict(n=8, a0=0.3, seed=1)),
+        ("exponential-n64", dict(n=64, a0=0.3, seed=2)),
+        ("exponential-n1000", dict(n=1000, a0=0.001, seed=3)),
+        ("constant-ties", dict(n=64, a0=0.02, seed=4, delay=ConstantDelay(1.0))),
+        ("fifo", dict(n=64, a0=0.3, seed=5, fifo=True)),
+        ("loss", dict(n=16, a0=0.1, seed=6, message_loss=0.05)),
+        ("processing", dict(n=64, a0=0.3, seed=7, processing_delay=ExponentialDelay(mean=0.2))),
+        ("crash", dict(n=64, a0=0.3, seed=8, crashes=[(1, 3.0)])),
+        ("purge-off", dict(n=16, a0=0.1, seed=9, purge_at_active=False, max_events=20000)),
+    ]
+
+
+@scenario("vector_core_sample_paths")
+def _vector_core_sample_paths() -> Dict[str, Any]:
+    from repro.core.vector_core import run_vector_election
+
+    return {label: canonical(run_vector_election(**kwargs)) for label, kwargs in vector_core_cases()}

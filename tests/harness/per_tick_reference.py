@@ -3,7 +3,7 @@
 The paper's rule, verbatim: an idle node flips a ``1 - (1 - A0)^d`` coin at
 every tick of its local clock.  This program flips every one of those coins:
 one engine event per node and tick, each scheduled ahead of same-instant
-message deliveries (priority ``-1``, the vector core's "rounds win ties").
+message deliveries (priority ``-1``), as both election cores order them.
 It is deliberately small and slow -- the statistical reference that
 ``tests/oracles/test_activation_parity.py`` checks both election cores
 against, never a production path.

@@ -6,7 +6,8 @@ that rule must produce the same election distribution:
 
 * the object core (``core="object"``), which draws the idle spell's wait in
   ticks from one Geometric distribution and arms one activation timer;
-* the vector core (``core="vector"``), one coin vector per activation round;
+* the vector core (``core="vector"``), which applies the same Geometric
+  draw per idle spell to flat per-node state on one event heap;
 * ``harness.per_tick_reference``, one coin per node and tick.
 
 Each row runs a fixed number of elections per implementation on disjoint,

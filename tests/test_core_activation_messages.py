@@ -7,7 +7,12 @@ import math
 
 import pytest
 
-from repro.core.activation import AdaptiveActivation, ConstantActivation
+from repro.core.activation import (
+    AdaptiveActivation,
+    ConstantActivation,
+    geometric_wait,
+    grid_ticks,
+)
 from repro.core.analysis import (
     async_ring_message_lower_bound,
     combined_idle_probability,
@@ -63,6 +68,26 @@ class TestConstantActivation:
             ConstantActivation(-0.1)
         with pytest.raises(ValueError):
             ConstantActivation(0.5).probability(0)
+
+
+class TestIdleSpellHelpers:
+    def test_geometric_wait_inverts_the_tail(self):
+        # P(K > k) = (1 - p)^k: with p = 1/2, uniforms in [0, 1/2) wait one
+        # tick, [1/2, 3/4) two, [3/4, 7/8) three.  (The edge probabilities
+        # and the distribution are checked through the object core in
+        # tests/test_core_election.py.)
+        assert [geometric_wait(0.5, u) for u in (0.0, 0.4999, 0.5, 0.7499, 0.75)] == [
+            1, 1, 2, 2, 3,
+        ]
+
+    def test_grid_ticks_counts_a_tick_at_the_reading(self):
+        # 0.5 // 0.1 is 4.0, but the fifth tick 5 * 0.1 == 0.5 has fired.
+        assert 0.5 // 0.1 == 4.0 and 5 * 0.1 == 0.5
+        assert grid_ticks(0.0, 0.5, 0.1) == 5
+        # 3 * 0.1 rounds above 0.3, so the third tick is still ahead.
+        assert grid_ticks(0.0, 0.3, 0.1) == 2
+        assert grid_ticks(0.5, 3.49, 1.0) == 2
+        assert grid_ticks(2.0, 2.0, 1.0) == 0
 
 
 class TestHopMessage:

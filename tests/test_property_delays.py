@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.models import ABDModel, ABEModel, AsynchronousModel, classify_delay
 from repro.network.delays import (
@@ -131,7 +132,8 @@ def test_classification_is_consistent_with_properties(delay):
 
 
 @given(delay=unbounded_finite_mean_delays(), seed=seeds)
-@settings(max_examples=40, deadline=None)
+@example(delay=ParetoDelay(alpha=1.21875, scale=1.0), seed=703)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_sample_mean_is_in_the_right_ballpark(delay, seed):
     # A loose two-sided check (heavy-tailed distributions converge slowly):
     # the sample mean of 4000 draws lies within a factor 3 of the declared
@@ -139,8 +141,17 @@ def test_sample_mean_is_in_the_right_ballpark(delay, seed):
     # without being flaky.
     rng = random.Random(seed)
     count = 4000
-    total = sum(delay.sample(rng) for _ in range(count))
-    empirical = total / count
+    draws = [delay.sample(rng) for _ in range(count)]
+    if isinstance(delay, ParetoDelay) and delay.alpha <= 2.0:
+        # Infinite variance: no bound on the sample mean holds with useful
+        # probability (the pinned example's mean reads 17.5 against 5.6).
+        # Check the closed-form CDF at the sample median instead; by the DKW
+        # inequality it leaves [0.45, 0.55] with probability about 4e-9.
+        median = statistics.median(draws)
+        cdf = 1.0 - (delay.scale / median) ** delay.alpha
+        assert 0.45 <= cdf <= 0.55
+        return
+    empirical = sum(draws) / count
     declared = delay.mean()
     assert empirical < declared * 3.0
     assert empirical > declared / 3.0

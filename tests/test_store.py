@@ -308,14 +308,20 @@ class TestResultStore:
     def test_records_a_vector_core_election_won_by_the_last_node(self, tmp_path):
         """The crowned uid must reach the result as a Python int: the codec
         refuses ``numpy.int64``, and ``record_many`` would skip the row
-        silently, re-executing the trial on every warm run."""
+        silently, re-executing the trial on every warm run.  Node ids and
+        times enter the vector core's event loop from numpy arrays (the
+        sorted start-up spells).  At seed 159 the last node wins, and its
+        uid and election time derive from those arrays (the wrap to node 0,
+        a Python literal, is not on their path)."""
         from repro.core.runner import run_election
 
-        result = run_election(8, a0=0.3, seed=7, core="vector")
-        assert result.leader_uid == 7 and type(result.leader_uid) is int
+        result = run_election(8, a0=0.3, seed=159, core="vector")
+        assert result.leader_uid == 7, "precondition: the seed no longer crowns node n - 1"
+        assert type(result.leader_uid) is int
+        assert type(result.election_time) is float
         with ResultStore(tmp_path / "results.sqlite") as store:
-            assert store.record_many("vector", [(7, result)]) == 1
-            assert store.lookup("vector", [7]) == {7: result}
+            assert store.record_many("vector", [(159, result)]) == 1
+            assert store.lookup("vector", [159]) == {159: result}
 
     def test_monte_carlo_resumes_from_sqlite_checkpoint(self, tmp_path):
         path = tmp_path / "checkpoint.sqlite"

@@ -2,9 +2,11 @@
 
 The vector core draws from its own numpy streams (see the stream-migration
 note in ``tests/harness/differential.py``), so these tests check engine
-*semantics* -- determinism, the election invariants, fault handling, budget
-classification and the ``core="vector"`` dispatch contract -- rather than
-event-for-event equality with the object core.  Distributional agreement
+*semantics* -- the idle-spell activation rule, determinism, the election
+invariants, fault handling, budget classification and the ``core="vector"``
+dispatch contract -- rather than event-for-event equality with the object
+core.  Its sample paths are pinned by the ``vector_core_sample_paths``
+golden (``tests/test_differential_election.py``).  Distributional agreement
 with the object core and a per-tick reference is checked by two-sample KS
 tests in ``tests/oracles/test_activation_parity.py``; the election contract
 both cores share is property-tested in ``tests/test_property_vector_core.py``.
@@ -13,40 +15,51 @@ both cores share is property-tested in ``tests/test_property_vector_core.py``.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from repro.core.runner import ELECTION_CORES, ElectionResult, run_election
+from harness.differential import vector_core_cases
+from repro.core import vector_core
+from repro.core.activation import ActivationSchedule, geometric_wait
+from repro.core.runner import (
+    ELECTION_CORES,
+    build_election_network,
+    run_election,
+    run_election_on_network,
+)
 from repro.sim.engine import SimulationDiverged
 from repro.core.vector_core import VectorRingElection, run_vector_election
 from repro.network.delays import ConstantDelay, ExponentialDelay, UniformDelay
+from repro.network.faults import CrashStopFault, FaultInjector
+from repro.sim.rng import RandomSource
+
+VECTOR_CORE_CASES = vector_core_cases()
 
 
-#: Full results recorded before the pending-arrival store became one tuple
-#: heap.  Any change to the heap layout, tie order (push order at equal
-#: times) or stream consumption moves at least one of these.
-SAMPLE_PATH_PINS = [
-    ("exponential-n8", dict(n=8, a0=0.3, seed=1),
-     ElectionResult(8, True, 5, 41.56268562442386, 72, 7, 20, 99, 0, 113, 1, 0.3, 1)),
-    ("exponential-n64", dict(n=64, a0=0.3, seed=2),
-     ElectionResult(64, True, 50, 1751.3950775447413, 4992, 63, 392, 5453, 0, 6743, 2, 0.3, 1)),
-    ("exponential-n1000", dict(n=1000, a0=0.001, seed=3),
-     ElectionResult(1000, True, 570, 88973.18573246818, 291000, 999, 1308, 337894, 0,
-                    379973, 3, 0.001, 1)),
-    ("constant-ties", dict(n=64, a0=0.02, seed=4, delay=ConstantDelay(1.0)),
-     ElectionResult(64, True, 58, 775.0, 1536, 63, 63, 2369, 0, 2311, 4, 0.02, 1)),
-    ("fifo", dict(n=64, a0=0.3, seed=5, fifo=True),
-     ElectionResult(64, True, 21, 1471.7098128464738, 4096, 63, 301, 4513, 0, 5567, 5, 0.3, 1)),
-    ("loss", dict(n=16, a0=0.1, seed=6, message_loss=0.05),
-     ElectionResult(16, False, None, None, 46, 13, 14, 192, 0, 88, 6, 0.1, 0)),
-    ("processing", dict(n=64, a0=0.3, seed=7, processing_delay=ExponentialDelay(mean=0.2)),
-     ElectionResult(64, True, 44, 2780.4895802452565, 7168, 63, 582, 9170, 0, 9948, 7, 0.3, 1)),
-    ("crash", dict(n=64, a0=0.3, seed=8, crashes=[(1, 3.0)]),
-     ElectionResult(64, False, None, None, 516, 51, 162, 1382, 0, 597, 8, 0.3, 0)),
-    ("purge-off", dict(n=16, a0=0.1, seed=9, purge_at_active=False, max_events=20000),
-     ElectionResult(16, False, None, None, 19993, 16, 7, 66, 19911, 20000, 9, 0.1, 0)),
-]
+class _Certain(ActivationSchedule):
+    """Every idle spell activates at its first tick."""
+
+    def probability(self, d):
+        return 1.0
+
+
+def _election(n, messages=(), *, start_up=True, **kwargs):
+    """A ``ConstantDelay(1.0)`` election with ``(time, hop, dst)`` messages in flight.
+
+    ``start_up=False`` drops the start-up spells, so nothing happens but the
+    messages and what they cause.
+    """
+    election = VectorRingElection(n, delay=ConstantDelay(1.0), seed=0, **kwargs)
+    if not start_up:
+        election._heap[:] = [e for e in election._heap if e[2] != vector_core._START_UP]
+        election._start_index = election._start_nodes.size
+    for time, hop, dst in messages:
+        election._heap.append((time, election._seq, hop, dst))
+        election._seq += 1
+    heapq.heapify(election._heap)
+    return election
 
 
 class TestDeterminism:
@@ -64,66 +77,134 @@ class TestDeterminism:
         assert len(results) > 1
 
 
-class TestSamplePathPins:
-    """Exact results per seed: the vector core's sample path is frozen."""
+class TestIdleSpells:
+    """One Geometric wait per idle spell, queued on the one event heap."""
 
     @pytest.mark.parametrize(
-        "kwargs, expected",
-        [case[1:] for case in SAMPLE_PATH_PINS],
-        ids=[case[0] for case in SAMPLE_PATH_PINS],
+        "n, a0, seed", [(8, 0.3, 1), (64, 0.02, 4), (1000, None, 3)]
     )
-    def test_result_matches_pin(self, kwargs, expected):
-        assert run_vector_election(**kwargs) == expected
-
-
-class TestArrivalHeap:
-    """Pending arrivals are one heap of ``(time, seq, hop, dst)`` tuples."""
-
-    def test_activation_round_pushes_ties_in_array_order(self):
-        election = VectorRingElection(5, delay=ConstantDelay(1.0), seed=0)
-        election._activate_batch(np.array([0, 2, 4]), 0.0)
-        # Equal arrival times pop by push order; node 4's successor wraps to 0.
-        assert [heapq.heappop(election._heap) for _ in range(3)] == [
-            (1.0, 0, 1, 1),
-            (1.0, 1, 1, 3),
-            (1.0, 2, 1, 0),
-        ]
-        assert election._seq == 3
-        assert election.activations == election.messages_total == 3
-        assert election._idle_count == 2 and election._active_count == 3
-
-    def test_time_dominates_the_push_order(self):
-        election = VectorRingElection(5, delay=ConstantDelay(1.0), seed=0)
-        election._activate_batch(np.array([3]), 0.5)
-        election._activate_batch(np.array([0, 1]), 0.0)
-        assert [heapq.heappop(election._heap) for _ in range(3)] == [
-            (1.0, 1, 1, 1),
-            (1.0, 2, 1, 2),
-            (1.5, 0, 1, 4),
-        ]
-
-    def test_processing_delay_lands_on_the_pushed_arrival(self):
-        election = VectorRingElection(
-            4, delay=ConstantDelay(1.0), processing_delay=ConstantDelay(0.25), seed=0
+    def test_start_up_spells_are_the_scalar_rule_on_one_uniform_vector(self, n, a0, seed):
+        # Reference: geometric_wait node by node on the stream's first n
+        # uniforms, ordered by (activation time, node).
+        election = VectorRingElection(n, a0=a0, seed=seed)
+        uniforms = RandomSource(seed).numpy_stream("vector/waits").random(n).tolist()
+        probability = election.schedule.probability(1)
+        expected = sorted(
+            (geometric_wait(probability, uniform) * 1.0, node)
+            for node, uniform in enumerate(uniforms)
         )
-        election._activate_batch(np.array([1, 3]), 2.0)
-        assert sorted(election._heap) == [(3.25, 0, 1, 2), (3.25, 1, 1, 0)]
+        assert list(zip(election._start_times.tolist(), election._start_nodes.tolist())) == expected
+
+    def test_start_up_activation_fires_before_a_same_instant_delivery(self):
+        # p = 1: every start-up spell fires at t = 1, when a <1> also
+        # reaches node 1.  Activations first: all three nodes activate, then
+        # the <1> knocks node 1 back to idle.  Delivery first would knock
+        # node 1 out instead.
+        election = _election(3, [(1.0, 1, 1)], schedule=_Certain())
+        result = election.run(max_events=4)
+        assert (result.activations, result.knockout_messages) == (3, 0)
+        assert election._status[1] == vector_core._IDLE
+
+    def test_knock_back_activation_fires_before_a_same_instant_delivery(self):
+        # Active node 1 is knocked back at t = 1 and, with p = 1, activates
+        # again at t = 2, when a second <1> reaches it.
+        election = _election(3, [(1.0, 1, 1), (2.0, 1, 1)], start_up=False, schedule=_Certain())
+        election._status[1] = vector_core._ACTIVE
+        result = election.run(max_events=3)
+        assert (result.activations, result.knockout_messages) == (1, 0)
+        assert election._status[1] == vector_core._IDLE
+
+    def test_a_dropped_spell_is_neither_an_event_nor_pending_work(self):
+        # Node 0 crashes at 0.5; a <1> knocks out node 1 at t = 1, whose <2>
+        # knocks out node 2 at t = 2; the <3> dies at the crashed node 0.
+        # With a0 = 1e-9 every start-up spell lies far beyond max_time, and
+        # every one belongs to a crashed or knocked-out node.
+        election = _election(3, [(1.0, 1, 1)], a0=1e-9, crashes=[(0, 0.5)])
+        result = election.run(max_time=5.0, on_budget="raise")
+        assert not result.elected
+        assert result.events_processed == 3 == election.deliveries
+        assert result.knockout_messages == 2 and result.activations == 0
+        assert election.deliveries_to_crashed == 1
+        assert election._heap == []
+        # Ticks up to each stop: node 0 none by 0.5, node 1 one, node 2 two.
+        assert result.ticks == 3
+
+    @pytest.mark.parametrize("max_time, diverges", [(60.0, False), (40.0, True)])
+    def test_quiescent_run_is_classified_as_the_object_core_classifies_it(
+        self, max_time, diverges
+    ):
+        # Every node has crashed by t = 50, with spells (of crashed or
+        # knocked-out nodes) still queued past max_time = 60: a quiescent,
+        # undecided run.  With max_time = 40 the crashes are live work beyond
+        # the horizon, so both cores report divergence.
+        crashes = [(0, 0.0), (1, 50.0), (2, 50.0)]
+        for seed in range(4):
+            network, status = build_election_network(3, a0=0.01, seed=seed)
+            FaultInjector(network).apply(
+                [CrashStopFault(node_uid=uid, crash_time=when) for uid, when in crashes]
+            )
+            election = VectorRingElection(3, a0=0.01, seed=seed, crashes=crashes)
+            outcomes = []
+            for run in (
+                lambda: run_election_on_network(
+                    network, status, max_time=max_time, on_budget="raise"
+                ),
+                lambda: election.run(max_time=max_time, on_budget="raise"),
+            ):
+                try:
+                    outcomes.append(run().elected)
+                except SimulationDiverged:
+                    outcomes.append("diverged")
+            assert outcomes == (["diverged"] * 2 if diverges else [False, False]), seed
+
+    def test_ticks_count_the_grid_up_to_each_stop_like_the_object_core(self):
+        # a0 = 1e-9: no node activates before max_time, so the count is
+        # exact -- node 0 stops at its crash (5 ticks), the rest at 7.5 (7).
+        crashes = [(0, 5.5)]
+        network, status = build_election_network(4, a0=1e-9, seed=0)
+        FaultInjector(network).apply([CrashStopFault(node_uid=0, crash_time=5.5)])
+        reference = run_election_on_network(network, status, max_time=7.5)
+        result = run_vector_election(4, a0=1e-9, seed=0, crashes=crashes, max_time=7.5)
+        assert result.ticks == reference.ticks == 5 + 3 * 7
+        assert result.events_processed == 0
+
+    def test_heap_holds_messages_in_flight_and_queued_spells(self, monkeypatch):
+        """Start-up spells are fed one at a time, so the heap stays O(messages)."""
+        sizes = []
+
+        def push(heap, entry):
+            heapq.heappush(heap, entry)
+            kinds = Counter(min(hop, 1) for _, _, hop, _ in heap)
+            assert kinds[vector_core._START_UP] <= 1
+            sizes.append(len(heap))
+
+        monkeypatch.setattr(
+            vector_core,
+            "heapq",
+            SimpleNamespace(heappush=push, heappop=heapq.heappop, heapify=heapq.heapify),
+        )
+        result = run_vector_election(2000, seed=3)
+        assert result.elected
+        # Each activation puts one token in flight and each knock-back one
+        # spell in the queue; the fed start-up spell is the one more.
+        assert max(sizes) <= 2 * result.activations + 1
 
     @pytest.mark.parametrize(
         "kwargs",
-        [case[1] for case in SAMPLE_PATH_PINS],
-        ids=[case[0] for case in SAMPLE_PATH_PINS],
+        [case[1] for case in VECTOR_CORE_CASES],
+        ids=[case[0] for case in VECTOR_CORE_CASES],
     )
-    def test_every_message_is_one_heap_entry(self, kwargs):
+    def test_events_are_activations_plus_deliveries(self, kwargs):
         kwargs = dict(kwargs)
         max_events = kwargs.pop("max_events", None)
         election = VectorRingElection(**kwargs)
         result = election.run(max_events=max_events)
-        # One push per message sent; each push is delivered (dropped and
+        assert result.events_processed == result.activations + election.deliveries
+        # One push per message sent; each is delivered (dropped and
         # crashed-destination arrivals included) or still pending.
+        in_flight = sum(1 for _, _, hop, _ in election._heap if hop > 0)
         assert election._seq == result.messages_total
-        assert election.deliveries + len(election._heap) == election._seq
-        assert result.events_processed == election.rounds + election.deliveries
+        assert election.deliveries + in_flight == result.messages_total
 
 
 class TestInvariants:
