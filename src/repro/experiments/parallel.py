@@ -19,7 +19,7 @@ the only trial loop, fixed-count or adaptive.
 Worker processes are forked once and reused by every ``map``, so a callable
 fanned over more than one worker must pickle: use a module-level function, a
 ``functools.partial`` over one, or a callable class such as
-:class:`repro.experiments.workloads.ElectionTrial`.  Where ``fork`` is
+:class:`repro.scenarios.algorithms.ElectionScenarioTrial`.  Where ``fork`` is
 unavailable (e.g. Windows) the executor runs in process instead.
 """
 
@@ -99,8 +99,8 @@ def _require_picklable(fn: Callable[[Any], Any]) -> None:
         raise TypeError(
             f"{fn!r} cannot be sent to pool workers ({type(error).__name__}: "
             f"{error}); pass a module-level function or a picklable callable "
-            "class such as repro.experiments.workloads.ElectionTrial, or run "
-            "with workers=1"
+            "class such as repro.scenarios.algorithms.ElectionScenarioTrial, "
+            "or run with workers=1"
         ) from None
 
 

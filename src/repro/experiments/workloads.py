@@ -7,26 +7,19 @@ the robustness experiment really have identical expected delay.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
-from repro.core.analysis import recommended_a0
-from repro.core.runner import ElectionResult, run_election
-from repro.experiments.parallel import SweepPool
-from repro.experiments.runner import AdaptiveStopping, monte_carlo
-from repro.network.delays import DelayDistribution, ExponentialDelay
+from repro.experiments.runner import AdaptiveStopping
+from repro.network.delays import DelayDistribution
 from repro.scenarios.registry import build_delay
 from repro.scenarios.spec import ScenarioSpec, SpecNode
 
 __all__ = [
     "DEFAULT_RING_SIZES",
     "DEFAULT_TRIALS",
-    "ElectionTrial",
-    "default_delay",
     "delay_family_specs",
     "delay_families_with_mean",
     "election_spec",
-    "election_trials",
-    "election_sweep",
 ]
 
 #: Ring sizes used by the scaling experiments (E1, E2, E6).
@@ -34,11 +27,6 @@ DEFAULT_RING_SIZES: Sequence[int] = (8, 16, 32, 64, 128)
 
 #: Default number of Monte-Carlo trials per configuration.
 DEFAULT_TRIALS: int = 30
-
-
-def default_delay(mean: float = 1.0) -> DelayDistribution:
-    """The canonical ABE channel: exponential delays with the given mean."""
-    return ExponentialDelay(mean=mean)
 
 
 def delay_family_specs(mean: float = 1.0) -> Dict[str, SpecNode]:
@@ -108,11 +96,14 @@ def election_spec(
     stopping: Optional[AdaptiveStopping] = None,
     **overrides: Any,
 ) -> ScenarioSpec:
-    """One declarative ABE-election point, mirroring :func:`election_trials`.
+    """One declarative ABE-election point: ``trials`` elections on a ring of ``n``.
 
-    Labels and derived trial seeds match :func:`election_trials` exactly
-    (``label`` defaults to ``f"n{n}"``), so a spec-driven run reproduces the
-    kwarg-driven run bit for bit.  ``overrides`` accepts any
+    Running it (:func:`~repro.scenarios.runtime.run_scenario`) calls
+    :func:`~repro.core.runner.run_election` once per seed of
+    ``trial_seeds(base_seed, trials, label)`` (``label`` defaults to
+    ``f"n{n}"``); ``a0`` defaults to
+    :func:`~repro.core.analysis.recommended_a0` and the delay to the
+    exponential ABE channel of mean 1.  ``overrides`` accepts any
     :func:`~repro.core.runner.run_election` keyword: the declarative ones
     become spec fields, the rest (e.g. ``enable_trace`` or runtime objects)
     ride the ``params`` pass-through.
@@ -146,102 +137,3 @@ def election_spec(
         params=overrides,
         **fields,
     )
-
-
-class ElectionTrial:
-    """Picklable ``run_one`` callable for election trials.
-
-    A closure over ``run_election`` cannot cross the process boundary into
-    the long-lived :class:`~repro.experiments.parallel.SweepPool` workers.
-    This class carries the same captured configuration as explicit,
-    picklable state, so one pool can serve every parameter point of a sweep.
-    Calling it is exactly ``run_election(n, a0=..., delay=..., seed=seed,
-    **kwargs)``.
-    """
-
-    __slots__ = ("n", "a0", "delay", "election_kwargs")
-
-    def __init__(
-        self, n: int, a0: float, delay: DelayDistribution, election_kwargs: dict
-    ) -> None:
-        self.n = n
-        self.a0 = a0
-        self.delay = delay
-        self.election_kwargs = election_kwargs
-
-    def __call__(self, seed: int) -> ElectionResult:
-        return run_election(
-            self.n, a0=self.a0, delay=self.delay, seed=seed, **self.election_kwargs
-        )
-
-
-def election_trials(
-    n: int,
-    trials: int,
-    base_seed: int,
-    *,
-    a0: float = None,
-    delay: DelayDistribution = None,
-    label: str = "",
-    workers: int = 1,
-    pool: SweepPool = None,
-    adaptive: AdaptiveStopping = None,
-    **election_kwargs,
-) -> List[ElectionResult]:
-    """Run ``trials`` independent elections on a ring of size ``n``.
-
-    ``a0`` defaults to :func:`repro.core.analysis.recommended_a0`; ``delay``
-    defaults to the canonical exponential ABE channel.  ``workers`` fans the
-    trials across processes (seed-for-seed identical results, see
-    :mod:`repro.experiments.parallel`); passing a ``pool`` instead reuses one
-    :class:`~repro.experiments.parallel.SweepPool` across the whole sweep
-    (same seeds, same order -- still bit-identical).  ``adaptive`` switches
-    to sequential stopping (``trials`` becomes the trial budget, i.e. the
-    default ``max_trials``); executed trials are worker-count independent.
-    """
-    chosen_a0 = a0 if a0 is not None else recommended_a0(n)
-    chosen_delay = delay if delay is not None else default_delay()
-    run_one = ElectionTrial(n, chosen_a0, chosen_delay, election_kwargs)
-    label = label or f"n{n}"
-    if adaptive is not None:
-        adaptive = adaptive.resolved("messages_total")
-    return monte_carlo(
-        run_one,
-        trials=trials,
-        base_seed=base_seed,
-        label=label,
-        workers=workers,
-        pool=pool,
-        adaptive=adaptive,
-    )
-
-
-def election_sweep(
-    sizes: Sequence[int],
-    trials: int,
-    base_seed: int,
-    *,
-    workers: int = 1,
-    pool: SweepPool = None,
-    adaptive: AdaptiveStopping = None,
-    **election_kwargs,
-) -> Dict[int, List[ElectionResult]]:
-    """Run the election at every ring size in ``sizes``; results keyed by size.
-
-    With ``workers > 1`` and no explicit ``pool``, one shared
-    :class:`~repro.experiments.parallel.SweepPool` is created for the whole
-    sweep instead of forking a fresh pool per size.
-    """
-    with SweepPool.ensure(pool, workers) as shared:
-        return {
-            n: election_trials(
-                n,
-                trials,
-                base_seed,
-                label=f"n{n}",
-                pool=shared,
-                adaptive=adaptive,
-                **election_kwargs,
-            )
-            for n in sizes
-        }

@@ -33,7 +33,6 @@ from repro.network.node import Node, NodeProgram
 from repro.network.topology import Topology
 from repro.sim.clock import ClockDriftModel, LocalClock
 from repro.sim.engine import Simulator
-from repro.sim.events import EventKind
 from repro.sim.monitor import MetricsCollector
 from repro.sim.rng import RandomSource
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -235,7 +234,7 @@ class Network:
         self._started = True
         for node in self.nodes:
             if node.program is not None:
-                self.simulator.schedule(0.0, node.program.on_start, kind=EventKind.CONTROL)
+                self.simulator.schedule(0.0, node.program.on_start)
 
     def run(
         self,

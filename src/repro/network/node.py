@@ -19,7 +19,7 @@ import random
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.sim.clock import LocalClock
-from repro.sim.events import EventHandle, EventKind
+from repro.sim.events import EventHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.network.channel import Channel
@@ -239,9 +239,7 @@ class NodeProgram:
         """Schedule ``callback`` after ``local_delay`` units of *local* time."""
         node = self._require_node()
         real_delay = node.clock.real_duration_for_local(node.now, local_delay)
-        return node.network.simulator.schedule(
-            real_delay, callback, kind=EventKind.TIMER
-        )
+        return node.network.simulator.schedule(real_delay, callback)
 
     def trace(self, category: str, **details: Any) -> None:
         """Record a trace event attributed to this node."""

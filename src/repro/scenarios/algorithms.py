@@ -151,8 +151,7 @@ class ElectionScenarioTrial:
     """Picklable ``seed -> ElectionResult`` compiled from one spec.
 
     The no-fault path is *exactly* ``run_election(n, a0=..., delay=...,
-    seed=seed, ...)`` -- the same call the experiments' hand-written
-    ``ElectionTrial`` made, which is what keeps the pre-refactor goldens
+    seed=seed, ...)``, which is what keeps the pre-refactor goldens
     byte-identical.  Faulted specs take the build-inject-run path instead
     (:func:`~repro.core.runner.build_election_network` +
     :class:`~repro.network.faults.FaultInjector`).

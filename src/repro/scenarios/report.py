@@ -92,7 +92,7 @@ def _aggregates(rows: List[Dict[str, Any]]) -> List[str]:
     return lines
 
 
-#: Metrics a ring-size study fits growth orders for (result attribute ->
+#: Metrics a ring-size study fits scaling slopes for (result attribute ->
 #: whether only elected trials contribute).
 _SCALING_METRICS = (("election_time", True), ("messages_total", False))
 
@@ -100,17 +100,21 @@ _SCALING_METRICS = (("election_time", True), ("messages_total", False))
 def study_scaling_fits(
     study: StudySpec, per_point: Sequence[Sequence[Any]]
 ) -> Optional[Dict[str, Any]]:
-    """Fitted growth orders for a ring study sweeping >= 2 distinct sizes.
+    """Fitted log-log slopes for a ring study sweeping >= 2 distinct sizes.
 
-    Returns ``{"sizes": [...], "fits": {metric: fits}}`` where each ``fits``
-    is the ordered mapping of :func:`repro.stats.complexity_fit.best_growth_order`
-    (best first), or ``None`` when the study is not a ring-size scaling sweep
-    (non-ring points, a single size, or no completed elections at some size).
+    Returns ``{"sizes": [...], "fits": {metric: slope}}`` where each
+    ``slope`` is the :class:`~repro.stats.complexity_fit.ScalingSlope` of
+    :func:`~repro.stats.complexity_fit.loglog_slope` over every trial's
+    value, or ``None`` when the study is not a ring-size scaling sweep
+    (non-ring points, a single size, or fewer than two values of a metric
+    at some size -- for election time, two completed elections) or when a
+    value is not positive (a budget that ends trials before any message),
+    which has no logarithm.
     """
-    from repro.stats.complexity_fit import best_growth_order
+    from repro.stats.complexity_fit import loglog_slope
 
     sizes: List[int] = []
-    means: Dict[str, List[float]] = {metric: [] for metric, _ in _SCALING_METRICS}
+    samples: Dict[str, List[List[float]]] = {metric: [] for metric, _ in _SCALING_METRICS}
     for point, results in zip(study.points, per_point):
         node = point.topology
         if node.kind != "uniring" or "n" not in node.params:
@@ -122,17 +126,16 @@ def study_scaling_fits(
                 if getattr(result, metric, None) is not None
                 and (not elected_only or getattr(result, "elected", False))
             ]
-            if not values:
+            if len(values) < 2 or min(values) <= 0:
                 return None
-            means[metric].append(sum(values) / len(values))
+            samples[metric].append(values)
         sizes.append(int(node.params["n"]))
     if len(set(sizes)) < 2:
         return None
     return {
         "sizes": sizes,
         "fits": {
-            metric: best_growth_order(sizes, means[metric])
-            for metric, _ in _SCALING_METRICS
+            metric: loglog_slope(sizes, samples[metric]) for metric, _ in _SCALING_METRICS
         },
     }
 
@@ -145,19 +148,11 @@ def render_study_scaling(
     if fitted is None:
         return None
     sizes = fitted["sizes"]
-    lines = [
-        f"== fitted scaling laws ({len(sizes)} sizes, "
-        f"n = {min(sizes)} .. {max(sizes)}) ==",
-    ]
-    for metric, fits in fitted["fits"].items():
-        best = next(iter(fits.values()))
-        alternatives = ", ".join(
-            f"{fit.model}: {fit.relative_error:.1%}"
-            for fit in list(fits.values())[1:]
-        )
+    lines = [f"== fitted scaling laws ({len(sizes)} sizes) =="]
+    for metric, fit in fitted["fits"].items():
         lines.append(
-            f"  {metric}: best fit ~ {best.coefficient:.4g} * {best.model} "
-            f"(rel err {best.relative_error:.1%}; next: {alternatives})"
+            f"  {metric}: log-log slope {fit.slope:.2f} (95% CI "
+            f"{fit.low:.2f} to {fit.high:.2f}) over n = {min(sizes)}..{max(sizes)}"
         )
     return "\n".join(lines)
 

@@ -27,7 +27,7 @@ is what makes the Monte-Carlo estimates in the experiment harness reproducible.
 """
 
 from repro.sim.engine import SimulationDiverged, SimulationError, Simulator
-from repro.sim.events import Event, EventHandle, EventKind
+from repro.sim.events import Event, EventHandle
 from repro.sim.clock import (
     ClockDriftModel,
     ConstantRateDrift,
@@ -45,7 +45,6 @@ __all__ = [
     "SimulationError",
     "Event",
     "EventHandle",
-    "EventKind",
     "LocalClock",
     "ClockDriftModel",
     "ConstantRateDrift",

@@ -19,7 +19,7 @@ There are two ways onto the heap, and they share one sequence counter:
   use them, scheduling a fresh event per firing.
 * :meth:`Simulator.schedule_call_at` is the *handle-free* message-delivery
   path: it pushes a plain ``(time, priority, sequence, fn, arg)`` tuple -- no
-  :class:`Event`, no :class:`EventHandle`, no closure, no listener dispatch.
+  :class:`Event`, no :class:`EventHandle`, no closure.
   :class:`~repro.network.channel.Channel` delivers every message through it.
 
 Hot-path notes
@@ -33,15 +33,12 @@ calls deliberately trade a little readability for speed:
   ``itertools.count`` indirection, and two simulators in one process cannot
   perturb each other's event numbering);
 * ``heapq.heappush``/``heappop`` and the queue list are bound to locals inside
-  the loop;
-* the listener loop is skipped entirely when no listeners are registered
-  (the common case for experiment sweeps, which disable tracing).
+  the loop.
 
-Because the delivery entries carry no :class:`Event`, registered listeners
-do not see them.  Components that must observe *every* event regardless of
-how it was scheduled (e.g. :meth:`~repro.network.network.Network.stop_when`
-predicates) use the :meth:`~Simulator.add_before_event` hooks, which the run
-loop invokes before firing each entry of either kind.
+Components that must observe *every* event regardless of how it was
+scheduled (e.g. :meth:`~repro.network.network.Network.stop_when` predicates)
+use the :meth:`~Simulator.add_before_event` hooks, which the run loop invokes
+before firing each entry of either kind.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import heapq
 import math
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import Event, EventHandle, EventKind
+from repro.sim.events import Event, EventHandle
 
 #: Heap entry layouts.  Regular events are ``(time, priority, sequence,
 #: event)``; handle-free delivery entries are ``(time, priority, sequence,
@@ -156,10 +153,9 @@ class Simulator:
         self._events_processed: int = 0
         self._events_scheduled: int = 0
         self._sequence: int = 0
-        self._listeners: List[Callable[[Event], None]] = []
         # Before-event hooks live in a list so run() can bind it once and
-        # still observe hooks installed mid-run (same trick as the listener
-        # list, which is captured but mutated in place).
+        # still observe hooks installed mid-run (the list is captured but
+        # mutated in place).
         self._before_event: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------ time
@@ -187,13 +183,7 @@ class Simulator:
     # ------------------------------------------------------------- scheduling
 
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = 0,
-        kind: EventKind = EventKind.GENERIC,
-        payload: Optional[Any] = None,
+        self, delay: float, callback: Callable[[], None], *, priority: int = 0
     ) -> EventHandle:
         """Schedule ``callback`` to fire ``delay`` time units from now.
 
@@ -208,18 +198,10 @@ class Simulator:
             if not _isfinite(delay):
                 raise SimulationError(f"delay must be finite, got {delay!r}")
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(
-            self._now + delay, callback, priority=priority, kind=kind, payload=payload
-        )
+        return self.schedule_at(self._now + delay, callback, priority=priority)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = 0,
-        kind: EventKind = EventKind.GENERIC,
-        payload: Optional[Any] = None,
+        self, time: float, callback: Callable[[], None], *, priority: int = 0
     ) -> EventHandle:
         """Schedule ``callback`` at an absolute simulation time.
 
@@ -234,7 +216,7 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, kind, payload)
+        event = Event(time, priority, sequence, callback)
         _heappush(self._queue, (time, priority, sequence, event))
         self._events_scheduled += 1
         return EventHandle(event)
@@ -245,11 +227,11 @@ class Simulator:
         """Handle-free path: call ``fn(arg)`` at the absolute time ``time``.
 
         The fire-and-forget sibling of :meth:`schedule_at`: no :class:`Event`
-        is built, no :class:`EventHandle` is returned (the call cannot be
-        cancelled), and listeners are not dispatched.  Ordering is identical
-        to :meth:`schedule_at` -- the entry consumes the same shared sequence
-        counter, so handle-free and regular events interleave exactly by
-        scheduling order at equal ``(time, priority)``.
+        is built and no :class:`EventHandle` is returned (the call cannot be
+        cancelled).  Ordering is identical to :meth:`schedule_at` -- the
+        entry consumes the same shared sequence counter, so handle-free and
+        regular events interleave exactly by scheduling order at equal
+        ``(time, priority)``.
 
         This is the entry point of every message delivery
         (:meth:`~repro.network.channel.Channel.transmit` computes the absolute
@@ -271,29 +253,13 @@ class Simulator:
         _heappush(self._queue, (time, priority, sequence, fn, arg))
         self._events_scheduled += 1
 
-    def add_listener(self, listener: Callable[[Event], None]) -> None:
-        """Register a hook invoked (with the event) just before each event fires.
-
-        Listeners receive only regular :class:`Event` entries; the handle-free
-        :meth:`schedule_call_at` path bypasses them by design.  Use
-        :meth:`add_before_event` to observe every entry.
-        """
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: Callable[[Event], None]) -> None:
-        """Remove a previously registered listener (no-op if absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
     def add_before_event(self, hook: Callable[[], None]) -> None:
         """Register an argument-less hook invoked before every entry fires.
 
         Hooks run immediately before *every* live entry -- regular events and
         handle-free calls alike -- after the clock has advanced to
-        the entry's time, in registration order.  Unlike listeners they see
-        no event object, which is what lets the delivery path skip building one;
+        the entry's time, in registration order.  They see no event object,
+        which is what lets the delivery path skip building one;
         :meth:`repro.network.network.Network.stop_when` multiplexes its
         predicates behind a single hook so the no-hook case costs one
         truthiness check per event.  Adding or removing a hook from a
@@ -347,9 +313,8 @@ class Simulator:
         fired = 0
         limit = _INF if max_events is None else max_events
         queue = self._queue
-        listeners = self._listeners  # the list object is never rebound
-        # The cell is bound once; in-place mutation keeps mid-run installs
-        # visible, exactly like the listener list.
+        # The list is bound once; in-place mutation keeps mid-run installs
+        # visible.
         before = self._before_event
         try:
             while queue and not self._stopped:
@@ -388,20 +353,11 @@ class Simulator:
                         hook()
                 if is_event:
                     event = entry[3]
-                    if listeners:
-                        for listener in listeners:
-                            listener(event)
-                        if not event.cancelled:  # a listener may cancel mid-flight
-                            event.fired = True
-                            event.callback()
-                    else:
-                        event.fired = True
-                        event.callback()
+                    event.fired = True
+                    event.callback()
                 else:
-                    # Handle-free entry: no Event, no listeners, one call.
+                    # Handle-free entry: no Event, one call.
                     entry[3](entry[4])
-                # An event cancelled by a listener after being popped live
-                # still counts as processed; only its callback is suppressed.
                 self._events_processed += 1
                 fired += 1
             else:

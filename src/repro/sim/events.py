@@ -20,27 +20,7 @@ state.  Message deliveries go through
 
 from __future__ import annotations
 
-import enum
-from typing import Any, Callable
-
-
-class EventKind(enum.Enum):
-    """Classification of scheduler events, used by tracing and metrics.
-
-    The kind does not influence scheduling order; it exists so that monitors
-    can attribute simulation activity (e.g. "how many message deliveries
-    happened before time t") without inspecting callback internals.
-    """
-
-    GENERIC = "generic"
-    MESSAGE_DELIVERY = "message-delivery"
-    CLOCK_TICK = "clock-tick"
-    TIMER = "timer"
-    PROCESS_STEP = "process-step"
-    CONTROL = "control"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
+from typing import Callable
 
 
 class Event:
@@ -59,11 +39,6 @@ class Event:
         Tie breaker assigned at scheduling time; guarantees a total order.
     callback:
         Zero-argument callable invoked when the event fires.
-    kind:
-        :class:`EventKind` tag used for tracing.
-    payload:
-        Arbitrary metadata stored alongside the event (e.g. the message being
-        delivered); never interpreted by the engine itself.
     cancelled:
         Set via :meth:`EventHandle.cancel`; cancelled events are skipped.
     fired:
@@ -71,41 +46,23 @@ class Event:
         cancelling an already-fired event reports failure.
     """
 
-    __slots__ = (
-        "time",
-        "priority",
-        "sequence",
-        "callback",
-        "kind",
-        "payload",
-        "cancelled",
-        "fired",
-    )
+    __slots__ = ("time", "priority", "sequence", "callback", "cancelled", "fired")
 
     def __init__(
-        self,
-        time: float,
-        priority: int,
-        sequence: int,
-        callback: Callable[[], None],
-        kind: EventKind = EventKind.GENERIC,
-        payload: Any = None,
-        cancelled: bool = False,
+        self, time: float, priority: int, sequence: int, callback: Callable[[], None]
     ) -> None:
         self.time = time
         self.priority = priority
         self.sequence = sequence
         self.callback = callback
-        self.kind = kind
-        self.payload = payload
-        self.cancelled = cancelled
+        self.cancelled = False
         self.fired = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "live")
         return (
             f"Event(t={self.time:.6g}, prio={self.priority}, "
-            f"seq={self.sequence}, kind={self.kind}, {state})"
+            f"seq={self.sequence}, {state})"
         )
 
 
@@ -126,16 +83,6 @@ class EventHandle:
     def time(self) -> float:
         """Scheduled firing time of the underlying event."""
         return self._event.time
-
-    @property
-    def kind(self) -> EventKind:
-        """The :class:`EventKind` of the underlying event."""
-        return self._event.kind
-
-    @property
-    def payload(self) -> Any:
-        """The payload attached at scheduling time."""
-        return self._event.payload
 
     @property
     def cancelled(self) -> bool:
@@ -163,5 +110,5 @@ class EventHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "live")
-        return f"EventHandle(t={self.time:.6g}, kind={self.kind}, {state})"
+        return f"EventHandle(t={self.time:.6g}, {state})"
 

@@ -12,7 +12,8 @@ experiment harness relies on:
 * :mod:`repro.stats.complexity_fit` -- order-of-growth fitting: given measured
   costs at several ``n``, decide whether the growth is Theta(n),
   Theta(n log n) or Theta(n^2) (used to check the paper's "linear average
-  complexity" claim and the baselines' superlinear growth);
+  complexity" claim and the baselines' superlinear growth), and the fitted
+  log-log slope of a cost with its confidence interval;
 * :mod:`repro.stats.distributions` -- empirical distribution utilities
   (ECDF, quantiles, tail masses) used by the delay-model experiments;
 * :mod:`repro.stats.sequences` -- running aggregates over simulation output.
@@ -33,8 +34,10 @@ from repro.stats.confidence import (
 from repro.stats.complexity_fit import (
     ComplexityFit,
     GROWTH_MODELS,
+    ScalingSlope,
     fit_growth_order,
     best_growth_order,
+    loglog_slope,
 )
 from repro.stats.distributions import ecdf, empirical_quantile, tail_mass
 from repro.stats.sequences import RunningMean, RunningStats
@@ -52,6 +55,8 @@ __all__ = [
     "GROWTH_MODELS",
     "fit_growth_order",
     "best_growth_order",
+    "ScalingSlope",
+    "loglog_slope",
     "ecdf",
     "empirical_quantile",
     "tail_mass",

@@ -128,8 +128,8 @@ def callable_fingerprint(run_one: Any, base_seed: int, label: str) -> Optional[s
     """Journal key for a raw trial callable (no declarative spec available).
 
     Hashes the pickled callable (configuration travels inside it -- e.g.
-    :class:`~repro.experiments.workloads.ElectionTrial` carries ring size,
-    ``a0`` and the delay model) together with the seed family.  Returns
+    :class:`~repro.scenarios.algorithms.ElectionScenarioTrial` carries ring
+    size, ``a0`` and the delay model) together with the seed family.  Returns
     ``None`` -- journaling is skipped, never wrong -- when the callable does
     not pickle (fork-only closures).
     """

@@ -114,17 +114,22 @@ class ResultStore:
         if fresh and os.path.exists(self.path):
             os.remove(self.path)
         self._conn = sqlite3.connect(self.path)
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS results ("
-            " key TEXT NOT NULL,"
-            " seed INTEGER NOT NULL,"
-            " version TEXT NOT NULL,"
-            " payload TEXT NOT NULL,"
-            " created_at REAL NOT NULL,"
-            " PRIMARY KEY (key, seed, version))"
-        )
-        self._conn.commit()
-        self.stale_ignored = self._count_other_versions()
+        try:
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS results ("
+                " key TEXT NOT NULL,"
+                " seed INTEGER NOT NULL,"
+                " version TEXT NOT NULL,"
+                " payload TEXT NOT NULL,"
+                " created_at REAL NOT NULL,"
+                " PRIMARY KEY (key, seed, version))"
+            )
+            self._conn.commit()
+            self.stale_ignored = self._count_other_versions()
+        except sqlite3.DatabaseError as error:
+            # A truncated or corrupt file: one line naming it, not a traceback.
+            self._conn.close()
+            raise ValueError(f"{self.path}: cannot open the result store ({error})") from None
         if self.stale_ignored and not self.allow_stale:
             _stale_note(self.path, self.stale_ignored, self.version)
 

@@ -16,14 +16,12 @@ import pytest
 from repro.core.runner import run_election
 from repro.experiments.parallel import SweepPool, fork_available
 from repro.experiments.runner import AdaptiveStopping, monte_carlo
-from repro.experiments.workloads import ElectionTrial, election_trials
+from repro.experiments.workloads import election_spec
+from repro.scenarios import compile_trial, run_scenario
 
 
-def _election_run_one(n=12, a0=0.3):
-    from repro.core.analysis import recommended_a0
-    from repro.network.delays import ExponentialDelay
-
-    return ElectionTrial(n, a0, ExponentialDelay(mean=1.0), {})
+def _election_run_one(n=12, a0=0.3, **overrides):
+    return compile_trial(election_spec(n, 1, 0, a0=a0, **overrides))
 
 
 class TestStoppingRule:
@@ -92,7 +90,7 @@ class TestStoppingRule:
         # on them.  A tiny max_events forces non-elections: 16 events on
         # n = 8 is one short of the cheapest election (n start-ups, one
         # activation, the winner's n deliveries).
-        run_one = ElectionTrial(8, 0.3, None, {"max_events": 16})
+        run_one = _election_run_one(8, max_events=16)
         stats = {}
         results = monte_carlo(
             run_one,
@@ -132,15 +130,17 @@ class TestWorkerCountDeterminism:
     RULE = AdaptiveStopping(ci_tolerance=0.3, min_trials=4, batch_size=4)
 
     def test_serial_vs_owned_pool(self):
-        serial = election_trials(12, 48, 9, adaptive=self.RULE)
-        parallel = election_trials(12, 48, 9, adaptive=self.RULE, workers=4)
+        spec = election_spec(12, 48, 9)
+        serial = run_scenario(spec, adaptive=self.RULE)
+        parallel = run_scenario(spec, adaptive=self.RULE, workers=4)
         assert serial == parallel
         assert len(serial) < 48  # the rule actually stopped early
 
     def test_serial_vs_sweep_pool(self):
-        serial = election_trials(12, 48, 9, adaptive=self.RULE)
+        spec = election_spec(12, 48, 9)
+        serial = run_scenario(spec, adaptive=self.RULE)
         with SweepPool(4) as pool:
-            pooled = election_trials(12, 48, 9, adaptive=self.RULE, pool=pool)
+            pooled = run_scenario(spec, adaptive=self.RULE, pool=pool)
         assert serial == pooled
 
     def test_pool_monte_carlo_entry_point(self):

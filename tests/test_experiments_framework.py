@@ -10,9 +10,9 @@ from repro.experiments.runner import mean_of_attribute, monte_carlo, trial_seeds
 from repro.experiments.workloads import (
     DEFAULT_RING_SIZES,
     delay_families_with_mean,
-    election_sweep,
-    election_trials,
+    election_spec,
 )
+from repro.scenarios import StudySpec, run_scenario, run_study
 
 
 class TestResultTable:
@@ -148,13 +148,14 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             delay_families_with_mean(0.0)
 
-    def test_election_trials_runs_requested_number(self):
-        results = election_trials(8, trials=4, base_seed=3)
+    def test_election_spec_runs_requested_number(self):
+        results = run_scenario(election_spec(8, trials=4, base_seed=3))
         assert len(results) == 4
         assert all(r.n == 8 for r in results)
         assert all(r.elected for r in results)
 
-    def test_election_sweep_keys_by_size(self):
-        sweep = election_sweep([4, 8], trials=2, base_seed=3)
-        assert set(sweep) == {4, 8}
+    def test_election_study_runs_every_size(self):
+        study = StudySpec(name="sizes", points=tuple(election_spec(n, 2, 3) for n in (4, 8)))
+        sweep = dict(zip((4, 8), run_study(study)))
+        assert all(r.n == n for n, results in sweep.items() for r in results)
         assert all(len(v) == 2 for v in sweep.values())

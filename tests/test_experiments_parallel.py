@@ -22,7 +22,8 @@ import pytest
 from repro.experiments.parallel import SweepPool, default_worker_count, fork_available
 from repro.experiments.resilience import ExecutionPolicy
 from repro.experiments.runner import mean_of_attribute, monte_carlo
-from repro.experiments.workloads import election_trials
+from repro.experiments.workloads import election_spec
+from repro.scenarios import run_scenario
 
 
 # Module-level: a callable fanned over more than one worker must pickle.
@@ -74,7 +75,8 @@ class TestUnpicklableCallables:
         with SweepPool(workers=2) as pool:
             with pytest.raises(TypeError, match="module-level function") as info:
                 pool.map(lambda x: x, [1, 2, 3])
-            assert "<lambda>" in str(info.value) and "ElectionTrial" in str(info.value)
+            assert "<lambda>" in str(info.value)
+            assert "ElectionScenarioTrial" in str(info.value)
             assert pool._pool is None  # nothing was forked for it
 
     def test_policy_does_not_turn_it_into_retried_failures(self):
@@ -137,8 +139,9 @@ class TestElectionDeterminism:
     """The acceptance-critical regression tests for the seed contract."""
 
     def test_serial_and_parallel_election_results_bit_identical(self):
-        serial = election_trials(8, trials=6, base_seed=13)
-        parallel = election_trials(8, trials=6, base_seed=13, workers=4)
+        spec = election_spec(8, trials=6, base_seed=13)
+        serial = run_scenario(spec)
+        parallel = run_scenario(spec, workers=4)
         # ElectionResult is a dataclass of primitives: == is field-wise.
         assert serial == parallel
 
@@ -157,8 +160,9 @@ class TestElectionDeterminism:
         hop overflows) survive the fork boundary bit-identically: a worker
         process increments its own status object and ships the counts back
         inside the result record."""
-        serial = election_trials(10, trials=6, base_seed=17)
-        fanned = election_trials(10, trials=6, base_seed=17, workers=4)
+        spec = election_spec(10, trials=6, base_seed=17)
+        serial = run_scenario(spec)
+        fanned = run_scenario(spec, workers=4)
         for s, f in zip(serial, fanned):
             assert (s.ticks, s.activations, s.knockout_messages, s.hop_overflows) == (
                 f.ticks,
@@ -172,8 +176,9 @@ class TestElectionDeterminism:
         """Same seed => same results in a fresh interpreter (twice over)."""
         snippet = (
             "import json, sys\n"
-            "from repro.experiments.workloads import election_trials\n"
-            "results = election_trials(8, trials=3, base_seed=21, workers=2)\n"
+            "from repro.experiments.workloads import election_spec\n"
+            "from repro.scenarios import run_scenario\n"
+            "results = run_scenario(election_spec(8, 3, 21), workers=2)\n"
             "payload = [[r.messages_total, r.election_time, r.leader_uid, r.seed,"
             " r.ticks, r.activations, r.knockout_messages]"
             " for r in results]\n"
@@ -196,7 +201,7 @@ class TestElectionDeterminism:
             )
             outputs.append(json.loads(completed.stdout))
         assert outputs[0] == outputs[1]
-        in_process = election_trials(8, trials=3, base_seed=21)
+        in_process = run_scenario(election_spec(8, trials=3, base_seed=21))
         expected = [
             [
                 r.messages_total,

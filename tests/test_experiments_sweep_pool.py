@@ -12,8 +12,8 @@ import pytest
 
 from repro.experiments.parallel import SweepPool, fork_available
 from repro.experiments.runner import monte_carlo
-from repro.experiments.workloads import ElectionTrial, election_sweep, election_trials
-from repro.network.delays import ExponentialDelay
+from repro.experiments.workloads import election_spec
+from repro.scenarios import StudySpec, compile_trial, run_scenario, run_study
 
 
 def square(x):  # module-level: picklable for pool workers
@@ -122,31 +122,30 @@ class TestSweepPoolExceptionPaths:
             assert external.map(square, range(4)) == [0, 1, 4, 9]
 
 
-class TestElectionTrialPicklability:
-    def test_election_trial_round_trips_through_pickle(self):
+class TestElectionScenarioTrialPicklability:
+    def test_election_scenario_trial_round_trips_through_pickle(self):
         import pickle
 
-        trial = ElectionTrial(8, 0.3, ExponentialDelay(mean=1.0), {"fifo": True})
+        trial = compile_trial(election_spec(8, 1, 0, a0=0.3, fifo=True))
         clone = pickle.loads(pickle.dumps(trial))
-        assert clone.n == 8 and clone.a0 == 0.3 and clone.election_kwargs == {"fifo": True}
+        assert clone.n == 8 and clone.a0 == 0.3 and clone.kwargs["fifo"] is True
         assert clone(seed=5) == trial(seed=5)
 
 
 class TestSweepDeterminism:
     def test_pooled_trials_bit_identical_to_serial(self):
-        serial = election_trials(8, trials=4, base_seed=13)
+        spec = election_spec(8, trials=4, base_seed=13)
+        serial = run_scenario(spec)
         with SweepPool(workers=3) as pool:
-            pooled = election_trials(8, trials=4, base_seed=13, pool=pool)
+            pooled = run_scenario(spec, pool=pool)
         assert pooled == serial
 
     def test_shared_pool_sweep_bit_identical_across_paths(self):
-        sizes = (4, 8)
-        serial = election_sweep(sizes, trials=3, base_seed=9)
+        study = StudySpec(name="sizes", points=tuple(election_spec(n, 3, 9) for n in (4, 8)))
+        serial = run_study(study)
         with SweepPool(workers=2) as pool:
-            shared = election_sweep(sizes, trials=3, base_seed=9, pool=pool)
-        per_point = {
-            n: election_trials(n, 3, 9, label=f"n{n}", workers=2) for n in sizes
-        }
+            shared = run_study(study, pool=pool)
+        per_point = [run_scenario(point, workers=2) for point in study.points]
         assert serial == shared == per_point
 
     def test_e1_with_external_pool_matches_serial(self):

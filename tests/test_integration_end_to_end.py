@@ -86,12 +86,13 @@ class TestKitchenSinkConfiguration:
 class TestScalingShape:
     def test_linear_fit_wins_with_enough_data(self):
         # A compressed version of E1 with enough trials for a stable fit.
-        from repro.experiments.workloads import election_trials
+        from repro.experiments.workloads import election_spec
+        from repro.scenarios import run_scenario
 
         sizes = [8, 16, 32, 64]
         means = []
         for n in sizes:
-            results = election_trials(n, trials=20, base_seed=77)
+            results = run_scenario(election_spec(n, trials=20, base_seed=77))
             means.append(
                 sum(r.messages_total for r in results) / len(results)
             )

@@ -79,14 +79,6 @@ class TestScheduleCallFastPath:
         assert simulator.events_processed == 1
         assert simulator.pending == 1
 
-    def test_listeners_do_not_see_fast_entries(self, simulator):
-        seen = []
-        simulator.add_listener(seen.append)
-        simulator.schedule_call_at(1.0, lambda arg: None)
-        simulator.schedule(2.0, lambda: None)
-        simulator.run()
-        assert len(seen) == 1  # only the regular event
-
     def test_before_event_hook_sees_every_entry(self, simulator):
         ticks = []
         simulator.add_before_event(lambda: ticks.append(simulator.now))
@@ -145,10 +137,11 @@ class TestEventHandles:
     def test_later_events_leak_no_state(self):
         sim = Simulator()
         fired = []
-        sim.schedule(0.0, lambda: fired.append("first"), payload={"secret": 1})
+        first = sim.schedule(0.0, lambda: fired.append("first"))
         sim.run()
-        handle = sim.schedule(1.0, lambda: fired.append("second"), payload=None)
-        assert handle.payload is None
+        handle = sim.schedule(1.0, lambda: fired.append("second"))
+        assert handle.time == 1.0 and first.time == 0.0
+        assert first.fired
         assert not handle.fired and not handle.cancelled
         sim.run()
         assert fired == ["first", "second"]
@@ -340,10 +333,11 @@ class TestElectionBitIdentity:
         assert result.leader_uid == 6
         assert result.events_processed == 139
 
-    def test_election_trials_golden(self):
-        from repro.experiments.workloads import election_trials
+    def test_election_scenario_golden(self):
+        from repro.experiments.workloads import election_spec
+        from repro.scenarios import run_scenario
 
-        trials = election_trials(8, trials=5, base_seed=13)
+        trials = run_scenario(election_spec(8, trials=5, base_seed=13))
         observed = [
             [t.messages_total, t.election_time, t.leader_uid, t.events_processed]
             for t in trials

@@ -35,9 +35,9 @@ from repro.experiments.resilience import (
     supervised_map,
 )
 from repro.experiments.runner import AdaptiveStopping, monte_carlo, trial_seeds
-from repro.experiments.workloads import ElectionTrial
+from repro.experiments.workloads import election_spec
 from repro.network.delays import ExponentialDelay
-from repro.scenarios import ScenarioSpec, StudySpec, run_scenario, run_study
+from repro.scenarios import ScenarioSpec, StudySpec, compile_trial, run_scenario, run_study
 from repro.sim import SimulationDiverged
 from repro.store import (
     ResultStore,
@@ -419,7 +419,7 @@ class TestFingerprints:
         assert spec_fingerprint(spec) == spec_fingerprint(spec)
 
     def test_callable_fingerprint_for_picklable_and_not(self):
-        trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
+        trial = compile_trial(election_spec(6, 1, 0, a0=0.3))
         key = callable_fingerprint(trial, 0, "label")
         assert key is not None
         assert key != callable_fingerprint(trial, 1, "label")
@@ -430,7 +430,7 @@ class TestFingerprints:
 class TestMonteCarloResume:
     def test_resumed_monte_carlo_skips_all_completed_trials(self, tmp_path):
         path = tmp_path / "checkpoint.sqlite"
-        trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
+        trial = compile_trial(election_spec(6, 1, 0, a0=0.3))
         with ResultStore(path, fresh=True) as store:
             first = SweepPool(store=store).monte_carlo(trial, trials=4, base_seed=9, key="point")
 
@@ -446,7 +446,7 @@ class TestMonteCarloResume:
         assert resumed == first  # bit-identical aggregates
 
     def test_partial_resume_runs_only_missing_seeds(self, tmp_path):
-        trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
+        trial = compile_trial(election_spec(6, 1, 0, a0=0.3))
         seeds = trial_seeds(9, 4)
         executed = []
 
@@ -462,7 +462,7 @@ class TestMonteCarloResume:
 
     def test_adaptive_run_resumes_bit_identically(self, tmp_path):
         path = tmp_path / "checkpoint.sqlite"
-        trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
+        trial = compile_trial(election_spec(6, 1, 0, a0=0.3))
         rule = AdaptiveStopping(
             ci_tolerance=0.5, min_trials=2, batch_size=2, metric="messages_total"
         )
@@ -487,7 +487,7 @@ class TestMonteCarloResume:
         if not fork_available():
             pytest.skip("fork start method unavailable")
         path = tmp_path / "checkpoint.sqlite"
-        trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
+        trial = compile_trial(election_spec(6, 1, 0, a0=0.3))
         with ResultStore(path, fresh=True) as store:
             serial = SweepPool(store=store).monte_carlo(trial, trials=4, base_seed=9, key="point")
         with ResultStore(path) as store, SweepPool(workers=2, store=store) as pool:

@@ -21,10 +21,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.analysis import recommended_a0
 from repro.core.runner import run_election
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.runner import AdaptiveStopping, trial_seeds
-from repro.experiments.workloads import election_spec, election_trials
+from repro.experiments.runner import AdaptiveStopping, monte_carlo, trial_seeds
+from repro.experiments.workloads import election_spec
+from repro.network.delays import ExponentialDelay
 from repro.scenarios import (
     ALGORITHMS,
     DELAYS,
@@ -42,6 +44,17 @@ from repro.scenarios.registry import DRIFTS, SCHEDULES, build_delay
 from repro.scenarios.report import render_scenario
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
+
+
+def direct_election(n, seed, delay=None, **kwargs):
+    """The call an ``election_spec(n, ...)`` trial makes at ``seed``, spelt out."""
+    delay = delay if delay is not None else ExponentialDelay(mean=1.0)
+    return run_election(n, a0=recommended_a0(n), delay=delay, seed=seed, **kwargs)
+
+
+def direct_elections(n, trials, base_seed, **kwargs):
+    """``direct_election`` at each derived seed of the spec's ``n{n}`` family."""
+    return [direct_election(n, seed, **kwargs) for seed in trial_seeds(base_seed, trials, f"n{n}")]
 
 
 class TestSpecValidation:
@@ -203,12 +216,12 @@ class TestSpecVsKwargBitIdentity:
         expected = [run_election(16, a0=0.3, seed=s) for s in trial_seeds(7, 4, "n16")]
         assert run_scenario(spec) == expected
 
-    def test_election_spec_matches_election_trials(self):
+    def test_election_spec_matches_direct_calls(self):
         """The representative check: the declarative path reproduces the
-        kwarg-threaded harness (same labels, same derived seeds, same trial
-        callable) bit for bit."""
+        direct ``run_election`` call (same labels, same derived seeds) bit
+        for bit."""
         spec = election_spec(12, 5, 31, fifo=True)
-        assert run_scenario(spec) == election_trials(12, 5, 31, fifo=True)
+        assert run_scenario(spec) == direct_elections(12, 5, 31, fifo=True)
 
     def test_drift_spec_matches_drift_factory_kwargs(self):
         from repro.sim.clock import RandomWalkDrift
@@ -220,7 +233,7 @@ class TestSpecVsKwargBitIdentity:
             clock_bounds=(0.5, 2.0),
             drift=SpecNode("random-walk", {"initial_rate": 1.25, "step": 0.15}),
         )
-        expected = election_trials(
+        expected = direct_elections(
             10,
             3,
             13,
@@ -232,9 +245,14 @@ class TestSpecVsKwargBitIdentity:
     def test_adaptive_stopping_matches(self):
         rule = AdaptiveStopping(ci_tolerance=0.5, min_trials=2, batch_size=2)
         spec = election_spec(8, 12, 3)
-        assert run_scenario(spec, adaptive=rule) == election_trials(
-            8, 12, 3, adaptive=rule.resolved("messages_total")
+        expected = monte_carlo(
+            lambda seed: direct_election(8, seed),
+            12,
+            3,
+            label="n8",
+            adaptive=rule.resolved("messages_total"),
         )
+        assert run_scenario(spec, adaptive=rule) == expected
         # The rule can equivalently live on the spec itself.
         assert run_scenario(spec.replace(stopping=rule)) == run_scenario(
             spec, adaptive=rule
@@ -433,7 +451,6 @@ class TestNonRingWorkloads:
         """The historical ``election_overrides={'delay': <object>}`` contract
         of e1/e3 must survive the declarative refactor."""
         from repro.experiments import e1_message_complexity
-        from repro.network.delays import ExponentialDelay
 
         result = e1_message_complexity.run(
             sizes=(6, 8),
@@ -444,9 +461,7 @@ class TestNonRingWorkloads:
         assert len(result.table()) == 2
         spec = election_spec(8, 2, 1, delay=ExponentialDelay(mean=2.0))
         assert spec.delay is None and "delay" in spec.params
-        assert run_scenario(spec) == election_trials(
-            8, 2, 1, delay=ExponentialDelay(mean=2.0)
-        )
+        assert run_scenario(spec) == direct_elections(8, 2, 1, delay=ExponentialDelay(mean=2.0))
 
 
 class TestExampleSpecs:

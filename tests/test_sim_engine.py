@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import EventKind
 
 
 class TestScheduling:
@@ -161,7 +160,7 @@ class TestRunControl:
         assert simulator.events_processed == 0
 
 
-class TestCancellationAndListeners:
+class TestCancellationAndCounters:
     def test_cancelled_event_does_not_fire(self, simulator):
         fired = []
         handle = simulator.schedule(1.0, lambda: fired.append("x"))
@@ -181,23 +180,6 @@ class TestCancellationAndListeners:
         handle.cancel()
         simulator.run()
         assert simulator.events_processed == 1
-
-    def test_listener_sees_every_fired_event(self, simulator):
-        seen = []
-        simulator.add_listener(lambda event: seen.append(event.kind))
-        simulator.schedule(1.0, lambda: None, kind=EventKind.TIMER)
-        simulator.schedule(2.0, lambda: None, kind=EventKind.MESSAGE_DELIVERY)
-        simulator.run()
-        assert seen == [EventKind.TIMER, EventKind.MESSAGE_DELIVERY]
-
-    def test_listener_can_be_removed(self, simulator):
-        seen = []
-        listener = lambda event: seen.append(event)  # noqa: E731 - test brevity
-        simulator.add_listener(listener)
-        simulator.remove_listener(listener)
-        simulator.schedule(1.0, lambda: None)
-        simulator.run()
-        assert seen == []
 
     def test_counters_track_scheduled_and_processed(self, simulator):
         for index in range(5):
@@ -241,26 +223,3 @@ class TestCancellationAndListeners:
         simulator.run()
         assert times == [1.0, 2.0, 3.0]
         assert simulator.now == 3.0
-
-    def test_listener_cancelling_current_event_still_counts_as_step(self, simulator):
-        # One run and event-at-a-time runs must agree: a live-popped event
-        # that a listener cancels mid-flight is a processed step whose
-        # callback is suppressed.
-        def cancel_in_flight(event):
-            event.cancelled = True
-
-        fired = []
-        simulator.add_listener(cancel_in_flight)
-        simulator.schedule(1.0, lambda: fired.append("a"))
-        simulator.schedule(2.0, lambda: fired.append("b"))
-        simulator.run()
-        assert fired == []
-
-        stepper = Simulator()
-        stepper.add_listener(cancel_in_flight)
-        stepper.schedule(1.0, lambda: fired.append("a"))
-        stepper.schedule(2.0, lambda: fired.append("b"))
-        while stepper.pending:
-            stepper.run(max_events=1)
-        assert stepper.events_processed == simulator.events_processed == 2
-        assert fired == []

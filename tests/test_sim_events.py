@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventHandle, EventKind
+from repro.sim.events import Event, EventHandle
 
 
 class TestEventOrdering:
@@ -38,13 +38,17 @@ class TestEventOrdering:
 
     def test_sequence_counter_is_monotone_per_simulator(self):
         sim, other = Simulator(), Simulator()
-        seen = []
-        sim.add_listener(lambda event: seen.append(event.sequence))
+        handles, fired = [], []
         for index in range(10):
             other.schedule(0.0, lambda: None)  # must not perturb ``sim``
-            sim.schedule(float(index % 3), lambda: None)
+            handles.append(
+                sim.schedule(float(index % 3), lambda index=index: fired.append(index))
+            )
         sim.run()
+        seen = [handles[index]._event.sequence for index in fired]
         assert sorted(seen) == list(range(10))
+        # Within one timestamp, events fire in sequence order.
+        assert fired == [0, 3, 6, 9, 1, 4, 7, 2, 5, 8]
 
 
 class TestEventFiring:
@@ -68,11 +72,10 @@ class TestEventFiring:
 class TestEventHandle:
     def test_handle_exposes_metadata(self):
         sim = Simulator()
-        handle = sim.schedule_at(3.5, lambda: None, kind=EventKind.TIMER, payload={"x": 1})
+        handle = sim.schedule_at(3.5, lambda: None)
         assert handle.time == 3.5
-        assert handle.kind is EventKind.TIMER
-        assert handle.payload == {"x": 1}
         assert not handle.cancelled
+        assert not handle.fired
 
     def test_cancel_marks_event(self):
         event = Event(1.0, 0, 0, lambda: None)
@@ -96,14 +99,8 @@ class TestEventHandle:
         sim.run()
         assert not handle.fired
 
-    def test_event_kind_str(self):
-        assert str(EventKind.MESSAGE_DELIVERY) == "message-delivery"
-
 
 class TestEventValidation:
-    def test_default_kind_is_generic(self):
-        assert Simulator().schedule(0.0, lambda: None).kind is EventKind.GENERIC
-
     def test_events_define_no_ordering(self):
         # The queue orders (time, priority, sequence, ...) tuples; an Event
         # is never compared, so it carries no comparison operators.

@@ -21,15 +21,18 @@ wrong or lacked:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
 
 import pytest
 
 import repro.store.fingerprint as fingerprint_module
 from repro.experiments.parallel import SweepPool
-from repro.experiments.workloads import ElectionTrial
+from repro.experiments.workloads import election_spec
 from repro.network.delays import ExponentialDelay
-from repro.scenarios import ScenarioSpec, run_scenario
+from repro.scenarios import ScenarioSpec, compile_trial, run_scenario
 from repro.store import (
     ResultStore,
     code_version,
@@ -233,6 +236,16 @@ class TestAllowStaleCLIWiring:
 JOURNAL_LINE = '{"key": "k", "result": {"m": 1.0}, "seed": 1, "version": "1.0.0"}\n'
 
 
+def truncated_store(tmp_path, share=0.9):
+    """A store of 400 padded rows cut to ``share`` of its bytes."""
+    path = tmp_path / "cut.sqlite"
+    with ResultStore(path, fresh=True) as store:
+        store.record_many("k", [(seed, {"m": float(seed), "pad": "x" * 200}) for seed in range(400)])
+    data = path.read_bytes()
+    path.write_bytes(data[: int(len(data) * share)])
+    return path
+
+
 class TestStorePathValidation:
     @pytest.mark.parametrize("fresh", [False, True])
     def test_jsonl_journal_is_refused_and_left_byte_identical(self, tmp_path, fresh):
@@ -262,6 +275,31 @@ class TestStorePathValidation:
         with ResultStore(empty) as reopened:
             assert reopened.lookup("key", [1]) == {1: {"m": 1.0}}
 
+    def test_truncated_store_is_refused_with_its_path(self, tmp_path):
+        path = truncated_store(tmp_path)
+        with pytest.raises(ValueError) as info:
+            ResultStore(path)
+        message = str(info.value)
+        assert str(path) in message and "cannot open the result store" in message
+        assert "\n" not in message
+
+    def test_serve_on_a_truncated_store_exits_in_one_line(self, tmp_path):
+        path = truncated_store(tmp_path)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"algorithm": "abe-election", "trials": 1}))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", str(spec_path), "--store", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert completed.returncode != 0
+        assert "Traceback" not in completed.stderr
+        (line,) = completed.stderr.strip().splitlines()
+        assert line.startswith(f"{path}: cannot open the result store (")
+
     @pytest.mark.parametrize("resume", [False, True])
     def test_checkpoint_flag_on_a_journal_exits_in_one_line(self, tmp_path, resume):
         from repro.cli import main
@@ -286,7 +324,7 @@ class TestStorePathValidation:
 class TestResultStore:
     def test_round_trip_and_persistence(self, tmp_path):
         path = tmp_path / "results.sqlite"
-        trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
+        trial = compile_trial(election_spec(6, 1, 0, a0=0.3))
         result = trial(123)
         with ResultStore(path) as store:
             assert store.record("key", 123, result)
@@ -325,7 +363,7 @@ class TestResultStore:
 
     def test_monte_carlo_resumes_from_sqlite_checkpoint(self, tmp_path):
         path = tmp_path / "checkpoint.sqlite"
-        trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
+        trial = compile_trial(election_spec(6, 1, 0, a0=0.3))
         with ResultStore(path, fresh=True) as store:
             first = SweepPool(store=store).monte_carlo(trial, trials=4, base_seed=9, key="point")
 

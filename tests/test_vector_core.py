@@ -415,7 +415,9 @@ class TestScenarioWiring:
         assert set(fitted["fits"]) == {"election_time", "messages_total"}
         text = render_study_scaling(study, per_point)
         assert "fitted scaling laws" in text
-        assert "best fit" in text
+        assert "messages_total: log-log slope " in text
+        assert "(95% CI " in text and "over n = 8..32" in text
+        assert "best fit" not in text
 
     def test_scaling_fits_none_for_single_size(self):
         from repro.scenarios.report import study_scaling_fits
@@ -431,3 +433,55 @@ class TestScenarioWiring:
         study = StudySpec(name="one-size", points=(point,))
         per_point = run_study(study)
         assert study_scaling_fits(study, per_point) is None
+
+    def test_scaling_fits_none_for_a_single_value_per_size(self):
+        from repro.scenarios.report import render_study_scaling, study_scaling_fits
+        from repro.scenarios.runtime import run_study
+        from repro.scenarios.spec import ScenarioSpec, SpecNode, StudySpec
+
+        points = tuple(
+            ScenarioSpec(
+                algorithm="abe-election",
+                topology=SpecNode("uniring", {"n": n}),
+                core="vector",
+                trials=1,
+                seed=9,
+                label=f"n{n}",
+            )
+            for n in (8, 16, 32)
+        )
+        study = StudySpec(name="one-trial", points=points)
+        per_point = run_study(study)
+        assert study_scaling_fits(study, per_point) is None
+        assert render_study_scaling(study, per_point) is None
+
+    def test_scaling_fits_none_when_trials_send_nothing(self):
+        from types import SimpleNamespace
+
+        from repro.scenarios.report import render_study_scaling, study_scaling_fits
+        from repro.scenarios.runtime import run_study
+        from repro.scenarios.spec import ScenarioSpec, SpecNode, StudySpec
+
+        # Four events end each object-core run before any node sends.
+        points = tuple(
+            ScenarioSpec(
+                algorithm="abe-election",
+                topology=SpecNode("uniring", {"n": n}),
+                trials=2,
+                seed=9,
+                max_events=4,
+                label=f"n{n}",
+            )
+            for n in (8, 16, 32)
+        )
+        study = StudySpec(name="budgeted", points=points)
+        per_point = run_study(study)
+        assert [r.messages_total for results in per_point for r in results] == [0] * 6
+        assert study_scaling_fits(study, per_point) is None
+        assert render_study_scaling(study, per_point) is None
+        # A zero cost has no logarithm even when every election completes.
+        completed = [
+            [SimpleNamespace(elected=True, election_time=float(n), messages_total=m) for m in (0, n)]
+            for n in (8, 16, 32)
+        ]
+        assert study_scaling_fits(study, completed) is None
