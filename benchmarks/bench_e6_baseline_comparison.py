@@ -10,6 +10,6 @@ def test_bench_e6_baseline_comparison(experiment_runner):
         lambda: e6_baseline_comparison.run(sizes=(8, 16, 32, 64), trials=10, base_seed=66)
     )
     # The ABE election is the cheapest algorithm at the largest ring size and
-    # its growth fits a linear shape, in contrast with the baselines.
+    # every baseline's log-log message slope lies above its slope.
     assert result.finding("abe_cheapest_at_max_n")
-    assert result.finding("abe_best_fit") in ("n", "n log n")
+    assert result.finding("baselines_steeper_than_abe")

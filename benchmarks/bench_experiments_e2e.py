@@ -45,7 +45,7 @@ from repro.experiments.runner import AdaptiveStopping
 #: Relative CI half-width the fast mode runs each sweep point down to.  A
 #: quick-look precision ("the mean is known to within 25%"): loose enough to
 #: stop well before the legacy budget, tight enough that every E1/E3 finding
-#: (growth order, trade-off direction) is stable across re-runs.
+#: (growth slope, trade-off direction) is stable across re-runs.
 CI_TOLERANCE = 0.25
 
 #: Reduced E1 + E3 workloads.  ``trials`` is both the legacy mode's fixed

@@ -2,8 +2,8 @@
 
 Every benchmark regenerates one experiment of ``repro.experiments``: it runs
 the experiment harness once (pytest-benchmark measures that single run),
-prints the resulting table -- the same rows the experiment module's default
-run reports -- and asserts the
+prints the resulting report (:func:`repro.report.render_experiment`) -- the
+same rows the experiment module's default run reports -- and asserts the
 experiment's key findings so a regression in the reproduced claim fails the
 benchmark run, not just changes a number silently.
 
@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import render_experiment
-from repro.experiments.results import ExperimentResult
+from repro.report import ExperimentResult, render_experiment
 
 
 def run_experiment_once(benchmark, run_callable) -> ExperimentResult:

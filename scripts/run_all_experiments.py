@@ -19,12 +19,12 @@ import inspect
 import time
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.reporting import render_experiment
 from repro.experiments.runner import (
     add_execution_arguments,
     execution_from_args,
     executor_from_args,
 )
+from repro.report import render_experiment
 
 
 def main() -> int:

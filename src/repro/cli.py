@@ -50,11 +50,18 @@ from typing import List, Optional
 from repro.core.analysis import recommended_a0
 from repro.core.runner import run_election
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.reporting import render_experiment
 from repro.experiments.runner import (
     add_execution_arguments,
     execution_from_args,
     executor_from_args,
+)
+from repro.report import (
+    ResultTable,
+    format_table,
+    render_experiment,
+    render_scenario,
+    render_study_scaling,
+    write_store_csv,
 )
 
 __all__ = ["main", "build_parser"]
@@ -79,8 +86,9 @@ def _report_failures(policy) -> None:
 
 
 def _open_store(path: str, allow_stale: bool = False):
-    """Open ``serve``/``optimize``'s ``--store``, exiting with a one-line
-    message when the path is not a sqlite store."""
+    """Open the result store of ``serve``/``optimize`` (``--store``) or
+    ``export-store``, exiting with a one-line message when the path is not
+    a sqlite store or cannot be opened."""
     from repro.store.result_store import ResultStore
 
     try:
@@ -304,15 +312,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
 
 def _command_scenario(args: argparse.Namespace) -> int:
-    from repro.scenarios import (
-        ALGORITHMS,
-        StudySpec,
-        load_spec,
-        render_scenario,
-        render_study_scaling,
-        run_scenario,
-        run_study,
-    )
+    from repro.scenarios import ALGORITHMS, StudySpec, load_spec, run_scenario, run_study
 
     try:
         spec = load_spec(args.spec_path)
@@ -364,9 +364,6 @@ def _command_scenario(args: argparse.Namespace) -> int:
 
 def _render_job_report(report) -> str:
     """Compact per-point stdout table for one served job."""
-    from repro.experiments.reporting import format_table
-    from repro.experiments.results import ResultTable
-
     table = ResultTable(
         title=f"job {report.job_id}: {report.name} [{report.status}]",
         columns=["point", "algorithm", "trials", "failures", "cached", "executed", "metric_mean"],
@@ -510,7 +507,7 @@ def _command_optimize(args: argparse.Namespace) -> int:
     print(f"== search: {title} ==")
     print(f"metric: {report.metric} ({report.goal}), strategy: {report.strategy}")
     print()
-    print(report.winner_table())
+    print(format_table(report.winner_table()))
     print()
     print(
         f"cache: {report.hits}/{report.lookups} hit(s), "
@@ -523,18 +520,12 @@ def _command_optimize(args: argparse.Namespace) -> int:
 
 
 def _command_export_store(args: argparse.Namespace) -> int:
-    from repro.store.export import write_store_csv
-    from repro.store.result_store import ResultStore
-
     if not os.path.exists(args.store):
         raise SystemExit(f"{args.store}: no such store")
-    with ResultStore(args.store, allow_stale=True) as store:
-        if args.csv == "-":
-            count = write_store_csv(store, sys.stdout, all_versions=args.all_versions)
-        else:
-            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-                count = write_store_csv(store, handle, all_versions=args.all_versions)
-            print(f"exported {count} row(s) to {args.csv}", file=sys.stderr)
+    with _open_store(args.store, allow_stale=True) as store:
+        count = write_store_csv(store, args.csv, all_versions=args.all_versions)
+    if args.csv != "-":
+        print(f"exported {count} row(s) to {args.csv}", file=sys.stderr)
     return 0
 
 
@@ -565,7 +556,21 @@ def _command_list() -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``abe-repro`` console script."""
+    """Entry point for the ``abe-repro`` console script.
+
+    A result store that opens but fails a later query (``serve``,
+    ``optimize``, ``export-store``, ``--checkpoint``) exits with the store's
+    one-line message.
+    """
+    from repro.store.result_store import DamagedStoreError
+
+    try:
+        return _dispatch(argv)
+    except DamagedStoreError as error:
+        raise SystemExit(str(error)) from None
+
+
+def _dispatch(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "elect":

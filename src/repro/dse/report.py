@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.report import ResultTable
+
 __all__ = [
     "PointOutcome",
     "RoundOutcome",
@@ -133,41 +135,31 @@ class SearchReport:
 
     # ------------------------------------------------------------ winner table
 
-    def winner_table(self) -> str:
-        """Aligned per-group winner table for the terminal."""
-        header = ["group", "winner", self.metric, "baseline", "change"]
-        rows: List[List[str]] = [header]
+    def winner_table(self) -> ResultTable:
+        """Per-group winner vs the paper's constants, for
+        :func:`repro.report.format_table` (``-`` where a value is missing)."""
+        table = ResultTable(
+            title="winners vs paper constants",
+            columns=["group", "winner", self.metric, "baseline", "change"],
+        )
         for group in self.groups:
-            rows.append(
-                [
-                    group.label,
-                    group.winner.label,
-                    _format_value(group.winner.value),
-                    _format_value(group.baseline.value),
-                    _format_change(group.winner.value, group.baseline.value, self.goal),
-                ]
+            winner = _value_dict(group.winner.value)
+            baseline = _value_dict(group.baseline.value)
+            table.add_row(
+                **{
+                    "group": group.label,
+                    "winner": group.winner.label,
+                    self.metric: winner,
+                    "baseline": baseline,
+                    "change": _format_change(winner, baseline),
+                }
             )
-        widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
-        lines = []
-        for index, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-            if index == 0:
-                lines.append("  ".join("-" * width for width in widths))
-        return "\n".join(lines)
+        return table
 
 
-def _format_value(value: Optional[float]) -> str:
-    if _value_dict(value) is None:
-        return "n/a"
-    return format(value, ".6g")
-
-
-def _format_change(
-    winner: Optional[float], baseline: Optional[float], goal: str
-) -> str:
-    winner, baseline = _value_dict(winner), _value_dict(baseline)
+def _format_change(winner: Optional[float], baseline: Optional[float]) -> Optional[str]:
     if winner is None or baseline is None or baseline == 0:
-        return "n/a"
+        return None
     delta = (winner - baseline) / abs(baseline) * 100.0
     sign = "+" if delta > 0 else ""
     return f"{sign}{format(delta, '.1f')}%"

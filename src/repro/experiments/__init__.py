@@ -24,13 +24,12 @@ A2        Ablation: purging at active nodes vs forwarding
 Every module exposes ``run(...) -> ExperimentResult`` with conservative
 defaults (full-size sweeps) and accepts smaller parameters for quick runs; the
 benchmarks call them with reduced trial counts so the whole suite stays
-laptop-friendly.
+laptop-friendly.  Results and their rendering (``ExperimentResult``,
+``ResultTable``, ``render_experiment``) live in :mod:`repro.report`.
 """
 
-from repro.experiments.results import ExperimentResult, ResultTable
 from repro.experiments.runner import AdaptiveStopping, monte_carlo, trial_seeds
 from repro.experiments.parallel import SweepPool
-from repro.experiments.reporting import format_table, render_experiment
 from repro.experiments.resilience import ExecutionPolicy, TrialFailure
 from repro.store.fingerprint import spec_fingerprint
 from repro.experiments import (
@@ -63,13 +62,9 @@ ALL_EXPERIMENTS = {
 
 __all__ = [
     "AdaptiveStopping",
-    "ExperimentResult",
-    "ResultTable",
     "monte_carlo",
     "trial_seeds",
     "SweepPool",
-    "format_table",
-    "render_experiment",
     "ExecutionPolicy",
     "TrialFailure",
     "spec_fingerprint",

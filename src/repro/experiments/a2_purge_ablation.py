@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 from repro.core.analysis import recommended_a0
 from repro.experiments.parallel import SweepPool
-from repro.experiments.results import ExperimentResult, ResultTable
 from repro.experiments.runner import AdaptiveStopping
 from repro.experiments.workloads import election_spec
+from repro.report import ExperimentResult, ResultTable
 from repro.scenarios.runtime import run_study
 from repro.scenarios.spec import StudySpec
 from repro.stats.estimators import mean

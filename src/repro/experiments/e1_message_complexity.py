@@ -8,8 +8,10 @@ possible).
 
 The experiment sweeps the ring size, runs many independent elections per size
 with the recommended activation parameter, and reports the mean message count
-with a confidence interval, the per-node cost, and the best-fitting growth
-order among {n, n log n, n^2}.
+with a confidence interval and the per-node cost.  Growth is stated the way
+every ring study states it (:func:`repro.report.study_scaling_fits`): the
+weighted log-log slope of the mean message count on ``n`` with its 95%
+confidence interval, and whether that interval holds 1 (linear growth).
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ from typing import Dict, Optional, Sequence
 
 from repro.core.analysis import async_ring_message_lower_bound, recommended_a0
 from repro.experiments.parallel import SweepPool
-from repro.experiments.results import ExperimentResult, ResultTable
 from repro.experiments.runner import AdaptiveStopping, adaptive_parameters
 from repro.experiments.workloads import DEFAULT_RING_SIZES, DEFAULT_TRIALS, election_spec
+from repro.report import (
+    ExperimentResult,
+    ResultTable,
+    format_slope,
+    slope_findings,
+    study_scaling_fits,
+)
 from repro.scenarios.runtime import run_study
 from repro.scenarios.spec import StudySpec
-from repro.stats.complexity_fit import best_growth_order
 from repro.stats.confidence import confidence_interval
 
 EXPERIMENT_ID = "e1"
@@ -91,7 +98,7 @@ def run(
         ],
     )
     sizes = list(sizes)
-    means = []
+    per_node = []
     study = build_study(
         sizes=sizes, trials=trials, base_seed=base_seed, election_overrides=election_overrides
     )
@@ -100,7 +107,7 @@ def run(
         elected = [r for r in results if r.elected]
         message_counts = [float(r.messages_total) for r in elected]
         interval = confidence_interval(message_counts)
-        means.append(interval.estimate)
+        per_node.append(interval.estimate / n)
         table.add_row(
             n=n,
             a0=recommended_a0(n),
@@ -110,16 +117,12 @@ def run(
             nlogn_reference=async_ring_message_lower_bound(n),
             all_elected=len(elected) == len(results),
         )
-    fits = best_growth_order(sizes, means)
-    best_model = next(iter(fits))
-    per_node = [mean / n for mean, n in zip(means, sizes)]
-    table.add_note(
-        f"best-fitting growth order: {best_model} "
-        f"(relative error {fits[best_model].relative_error:.3f})"
-    )
+    fitted = study_scaling_fits(study, per_size)
+    fit = fitted["fits"]["messages_total"] if fitted else None
+    if fit is not None:
+        table.add_note(format_slope("messages_total", fit, sizes))
     findings = {
-        "best_growth_order": best_model,
-        "linear_is_best": best_model == "n",
+        **slope_findings("messages", fit),
         "max_messages_per_node": max(per_node),
         "min_messages_per_node": min(per_node),
         "per_node_spread": max(per_node) / min(per_node) if min(per_node) > 0 else float("inf"),

@@ -6,7 +6,8 @@ pressure stays constant, so only O(1) activation waves are needed and each
 wave costs O(n * delta) simulated time.
 
 Identical sweep to E1 but the measured quantity is the simulated real time at
-which the leader decides.
+which the leader decides; growth is the log-log slope of the mean election
+time with its 95% CI (:func:`repro.report.study_scaling_fits`).
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ from typing import Optional, Sequence
 
 from repro.core.analysis import recommended_a0
 from repro.experiments.parallel import SweepPool
-from repro.experiments.results import ExperimentResult, ResultTable
 from repro.experiments.runner import AdaptiveStopping, adaptive_parameters
 from repro.experiments.workloads import DEFAULT_RING_SIZES, DEFAULT_TRIALS, election_spec
+from repro.report import (
+    ExperimentResult,
+    ResultTable,
+    format_slope,
+    slope_findings,
+    study_scaling_fits,
+)
 from repro.scenarios.runtime import run_study
 from repro.scenarios.spec import StudySpec
-from repro.stats.complexity_fit import best_growth_order
 from repro.stats.confidence import confidence_interval
 
 EXPERIMENT_ID = "e2"
@@ -77,7 +83,7 @@ def run(
         ],
     )
     sizes = list(sizes)
-    means = []
+    per_node = []
     study = build_study(sizes=sizes, trials=trials, base_seed=base_seed)
     per_size = run_study(study, pool=pool, workers=workers, adaptive=adaptive)
     for n, results in zip(sizes, per_size):
@@ -85,7 +91,7 @@ def run(
         times = [float(r.election_time) for r in elected if r.election_time is not None]
         activations = [float(r.activations) for r in elected]
         interval = confidence_interval(times)
-        means.append(interval.estimate)
+        per_node.append(interval.estimate / n)
         table.add_row(
             n=n,
             a0=recommended_a0(n),
@@ -95,16 +101,12 @@ def run(
             activations_mean=sum(activations) / len(activations),
             all_elected=len(elected) == len(results),
         )
-    fits = best_growth_order(sizes, means)
-    best_model = next(iter(fits))
-    per_node = [mean / n for mean, n in zip(means, sizes)]
-    table.add_note(
-        f"best-fitting growth order: {best_model} "
-        f"(relative error {fits[best_model].relative_error:.3f})"
-    )
+    fitted = study_scaling_fits(study, per_size)
+    fit = fitted["fits"]["election_time"] if fitted else None
+    if fit is not None:
+        table.add_note(format_slope("election_time", fit, sizes))
     findings = {
-        "best_growth_order": best_model,
-        "linear_is_best": best_model == "n",
+        **slope_findings("time", fit),
         "max_time_per_node": max(per_node),
         "min_time_per_node": min(per_node),
         "per_node_spread": max(per_node) / min(per_node) if min(per_node) > 0 else float("inf"),

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.parallel import SweepPool
-from repro.experiments.results import ExperimentResult, ResultTable
 from repro.network.retransmission import expected_transmissions, tail_probability
+from repro.report import ExperimentResult, ResultTable
 from repro.scenarios.runtime import run_study
 from repro.scenarios.spec import ScenarioSpec, StudySpec
 
@@ -93,7 +93,9 @@ def run(
         for point_results in run_study(study, pool=pool, workers=workers)
     ]
     max_relative_error = 0.0
-    for p, (mechanistic, closed_form, tail_measured) in zip(probabilities, measurements):
+    for p, measurement in zip(probabilities, measurements):
+        mechanistic = measurement.mechanistic_mean_attempts
+        closed_form = measurement.closed_form_mean_delay
         theory = expected_transmissions(p)
         error_mechanistic = abs(mechanistic - theory) / theory
         error_closed = abs(closed_form - theory) / theory
@@ -107,7 +109,7 @@ def run(
                 "relative_error_mechanistic": error_mechanistic,
                 "relative_error_closed_form": error_closed,
                 f"tail_P[K>{tail_k}]_theory": tail_probability(p, tail_k),
-                f"tail_P[K>{tail_k}]_measured": tail_measured,
+                f"tail_P[K>{tail_k}]_measured": measurement.tail_measured,
             }
         )
     findings = {

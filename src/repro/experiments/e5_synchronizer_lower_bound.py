@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.parallel import SweepPool
-from repro.experiments.results import ExperimentResult, ResultTable
+from repro.report import ExperimentResult, ResultTable
 from repro.scenarios.algorithms import ABD_DELAY_BOUND  # noqa: F401  (re-export)
 from repro.scenarios.runtime import run_study
 from repro.scenarios.spec import ScenarioSpec, SpecNode, StudySpec

@@ -11,8 +11,9 @@ Section 1 positions the ABE election against two reference points:
 The experiment runs the ABE election and four baselines (Itai-Rodeh,
 Chang-Roberts, Dolev-Klawe-Rodeh, Franklin) on rings of increasing size with
 identical ABE (exponential, mean 1) channel delays, reports the mean message
-counts, and fits growth orders: the ABE election should fit ``n`` best while
-the identifier-based baselines grow like ``n log n``.
+counts, and fits each algorithm's log-log message slope with its 95% CI
+(:func:`repro.report.study_scaling_fits`): the ABE election's slope should sit
+near 1 and below every baseline's, whose ``n log n`` growth reads above 1.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import async_ring_message_lower_bound
 from repro.experiments.parallel import SweepPool
-from repro.experiments.results import ExperimentResult, ResultTable
 from repro.experiments.runner import AdaptiveStopping
 from repro.experiments.workloads import election_spec
+from repro.report import ExperimentResult, ResultTable, slope_findings, study_scaling_fits
 from repro.scenarios.runtime import run_study
 from repro.scenarios.spec import ScenarioSpec, SpecNode, StudySpec
-from repro.stats.complexity_fit import best_growth_order
 from repro.stats.confidence import confidence_interval
 
 EXPERIMENT_ID = "e6"
@@ -97,14 +97,18 @@ def run(
     study = build_study(sizes=sizes, trials=trials, base_seed=base_seed)
     per_point = run_study(study, pool=pool, workers=workers, adaptive=adaptive)
 
-    per_algorithm_means: Dict[str, List[float]] = {}
+    reference = ResultTable(
+        title="E6 (reference): log-log message slopes and the n log n lower-bound curve",
+        columns=["algorithm", "messages_slope", "slope_ci_low", "slope_ci_high", "nlogn_at_max_n"],
+    )
+    mean_at_max: Dict[str, float] = {}
+    slopes = {}
     for index, name in enumerate(ALGORITHM_ORDER):
-        means = []
-        for offset, n in enumerate(sizes):
-            results = per_point[index * len(sizes) + offset]
+        block = slice(index * len(sizes), (index + 1) * len(sizes))
+        for n, results in zip(sizes, per_point[block]):
             message_counts = [float(r.messages_total) for r in results if r.elected]
             interval = confidence_interval(message_counts)
-            means.append(interval.estimate)
+            mean_at_max[name] = interval.estimate
             table.add_row(
                 algorithm=name,
                 n=n,
@@ -112,36 +116,29 @@ def run(
                 messages_ci95=interval.half_width,
                 messages_per_node=interval.estimate / n,
             )
-        per_algorithm_means[name] = means
-
-    reference = ResultTable(
-        title="E6 (reference): growth-order fits and the n log n lower-bound curve",
-        columns=["algorithm", "best_fit", "relative_error", "nlogn_at_max_n"],
-    )
-    fits_by_algorithm = {}
-    for name, means in per_algorithm_means.items():
-        fits = best_growth_order(sizes, means)
-        best = next(iter(fits))
-        fits_by_algorithm[name] = best
+        fitted = study_scaling_fits(
+            StudySpec(name=name, points=study.points[block]), per_point[block]
+        )
+        fit = slopes[name] = fitted["fits"]["messages_total"] if fitted else None
         reference.add_row(
             algorithm=name,
-            best_fit=best,
-            relative_error=fits[best].relative_error,
+            messages_slope=fit.slope if fit else None,
+            slope_ci_low=fit.low if fit else None,
+            slope_ci_high=fit.high if fit else None,
             nlogn_at_max_n=async_ring_message_lower_bound(max(sizes)),
         )
 
-    abe_at_max = per_algorithm_means["abe-election"][-1]
-    baseline_at_max = {
-        name: means[-1] for name, means in per_algorithm_means.items() if name != "abe-election"
-    }
+    abe = slopes.pop("abe-election")
+    abe_at_max = mean_at_max.pop("abe-election")
+    baselines = list(slopes.values())
+    fitted = None not in baselines
     findings = {
-        "abe_best_fit": fits_by_algorithm["abe-election"],
-        "abe_fits_linear": fits_by_algorithm["abe-election"] == "n",
-        "abe_cheapest_at_max_n": abe_at_max <= min(baseline_at_max.values()),
-        "baselines_superlinear": all(
-            fits_by_algorithm[name] in ("n log n", "n^2")
-            for name in baseline_at_max
+        **slope_findings("abe_messages", abe),
+        "abe_cheapest_at_max_n": abe_at_max <= min(mean_at_max.values()),
+        "baselines_steeper_than_abe": (
+            all(fit.slope > abe.slope for fit in baselines) if fitted and abe else None
         ),
+        "baselines_ci_above_1": all(fit.low > 1.0 for fit in baselines) if fitted else None,
     }
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,

@@ -19,10 +19,10 @@ from typing import Dict, Optional, Sequence
 
 from repro.core.analysis import recommended_a0
 from repro.experiments.parallel import SweepPool
-from repro.experiments.results import ExperimentResult, ResultTable
 from repro.experiments.runner import AdaptiveStopping
 from repro.experiments.workloads import delay_family_specs, election_spec
 from repro.models.base import classify_delay
+from repro.report import ExperimentResult, ResultTable
 from repro.scenarios.registry import build_delay
 from repro.scenarios.runtime import run_study
 from repro.scenarios.spec import StudySpec

@@ -8,7 +8,9 @@ and executed through :func:`~repro.scenarios.runtime.run_scenario` /
 :func:`~repro.scenarios.runtime.run_study`.  The experiments (e1..e8, a1,
 a2) are thin analysis callbacks over :class:`~repro.scenarios.spec.StudySpec`
 batteries, and ``abe-repro scenario <spec.json>`` runs spec files directly
--- see ``docs/SCENARIOS.md`` for the schema and the extension points.
+-- see ``docs/SCENARIOS.md`` for the schema and the extension points.  The
+scenario report and the ring studies' scaling verdicts are rendered by
+:mod:`repro.report`.
 """
 
 from repro.scenarios.spec import (
@@ -30,12 +32,6 @@ from repro.scenarios.registry import (
 )
 from repro.scenarios.algorithms import ALGORITHMS, AlgorithmEntry, WaveResult
 from repro.scenarios.runtime import compile_trial, run_scenario, run_study
-from repro.scenarios.report import (
-    render_scenario,
-    render_study_scaling,
-    scenario_table,
-    study_scaling_fits,
-)
 
 __all__ = [
     "ScenarioSpec",
@@ -57,8 +53,4 @@ __all__ = [
     "compile_trial",
     "run_scenario",
     "run_study",
-    "render_scenario",
-    "render_study_scaling",
-    "study_scaling_fits",
-    "scenario_table",
 ]

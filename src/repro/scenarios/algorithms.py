@@ -57,6 +57,7 @@ __all__ = [
     "BaselineScenarioTrial",
     "WaveScenarioTrial",
     "SynchronizerBatteryTrial",
+    "LossyChannelMeasurement",
     "LossyChannelTrial",
     "measure_lossy_channel",
     "run_synchronizer_battery",
@@ -720,9 +721,24 @@ _register(
 # ----------------------------------------------------------------- lossy channel
 
 
+@dataclass(frozen=True)
+class LossyChannelMeasurement:
+    """One experiment-E4 measurement of a lossy channel at one ``p``.
+
+    ``mechanistic_mean_attempts`` is the mean transmissions per message of
+    the attempt-by-attempt channel, ``closed_form_mean_delay`` the mean of
+    the geometric delay distribution (unit transmission time), and
+    ``tail_measured`` that sample's share above ``tail_k`` attempts.
+    """
+
+    mechanistic_mean_attempts: float
+    closed_form_mean_delay: float
+    tail_measured: float
+
+
 def measure_lossy_channel(
     p: float, messages: int, tail_k: int, base_seed: int
-) -> Tuple[float, float, float]:
+) -> LossyChannelMeasurement:
     """One experiment-E4 measurement: mechanistic vs closed-form channel.
 
     Streams are named per probability, so a fresh
@@ -744,12 +760,15 @@ def measure_lossy_channel(
     distribution = GeometricRetransmissionDelay(p, transmission_time=1.0)
     dist_rng = source.stream(f"distribution/p{p}")
     samples = distribution.sample_many(dist_rng, messages)
-    closed_form = sum(samples) / len(samples)
-    return mechanistic, closed_form, tail_mass(samples, float(tail_k))
+    return LossyChannelMeasurement(
+        mechanistic_mean_attempts=mechanistic,
+        closed_form_mean_delay=sum(samples) / len(samples),
+        tail_measured=tail_mass(samples, float(tail_k)),
+    )
 
 
 class LossyChannelTrial:
-    """Picklable one-shot ``seed -> (mechanistic, closed_form, tail)``."""
+    """Picklable one-shot ``seed -> LossyChannelMeasurement``."""
 
     __slots__ = ("p", "messages", "tail_k")
 
@@ -772,7 +791,7 @@ class LossyChannelTrial:
                 "known params: ['p', 'messages', 'tail_k']"
             )
 
-    def __call__(self, seed: int) -> Tuple[float, float, float]:
+    def __call__(self, seed: int) -> LossyChannelMeasurement:
         return measure_lossy_channel(self.p, self.messages, self.tail_k, seed)
 
 

@@ -9,11 +9,10 @@ experiment harness relies on:
   summary statistics of samples;
 * :mod:`repro.stats.confidence` -- Student-t confidence intervals and
   relative-precision stopping rules;
-* :mod:`repro.stats.complexity_fit` -- order-of-growth fitting: given measured
-  costs at several ``n``, decide whether the growth is Theta(n),
-  Theta(n log n) or Theta(n^2) (used to check the paper's "linear average
-  complexity" claim and the baselines' superlinear growth), and the fitted
-  log-log slope of a cost with its confidence interval;
+* :mod:`repro.stats.complexity_fit` -- the growth exponent of a mean cost:
+  its weighted log-log slope on ``n`` with a 95% confidence interval (a
+  linear cost reads a slope near 1; used to check the paper's "linear
+  average complexity" claim and the baselines' superlinear growth);
 * :mod:`repro.stats.distributions` -- empirical distribution utilities
   (ECDF, quantiles, tail masses) used by the delay-model experiments;
 * :mod:`repro.stats.sequences` -- running aggregates over simulation output.
@@ -31,14 +30,7 @@ from repro.stats.confidence import (
     confidence_interval,
     relative_half_width,
 )
-from repro.stats.complexity_fit import (
-    ComplexityFit,
-    GROWTH_MODELS,
-    ScalingSlope,
-    fit_growth_order,
-    best_growth_order,
-    loglog_slope,
-)
+from repro.stats.complexity_fit import ScalingSlope, loglog_slope
 from repro.stats.distributions import ecdf, empirical_quantile, tail_mass
 from repro.stats.sequences import RunningMean, RunningStats
 
@@ -51,10 +43,6 @@ __all__ = [
     "ConfidenceInterval",
     "confidence_interval",
     "relative_half_width",
-    "ComplexityFit",
-    "GROWTH_MODELS",
-    "fit_growth_order",
-    "best_growth_order",
     "ScalingSlope",
     "loglog_slope",
     "ecdf",

@@ -1,22 +1,14 @@
-"""Order-of-growth fitting.
+"""Order-of-growth estimation.
 
 The central quantitative claim of the paper is that the ABE election algorithm
 has *average linear* time and message complexity, while asynchronous ring
 election is Omega(n log n) and the classical baselines are Theta(n log n).
-Reproducing the claim therefore requires deciding, from measured averages at a
-handful of ring sizes, which growth order fits best.
 
-:func:`fit_growth_order` fits ``cost ~ c * g(n)`` for each candidate ``g`` by
-least squares and reports the residual error; :func:`best_growth_order` picks
-the candidate with the smallest normalised residual.  The fit is deliberately
-single-parameter (no intercept, no exponent search): the question asked by the
-experiments is "which of these named shapes explains the data best", not
-"what is the exact exponent".
-
-:func:`loglog_slope` asks the other question: it estimates the exponent
-itself, with a confidence interval, from every trial's value at every size
-(a weighted regression of log mean cost on log n), so a linear cost reads a
-slope near 1 however the sample path falls.
+:func:`loglog_slope` estimates the growth exponent itself, with a confidence
+interval, from every trial's value at every size (a weighted regression of
+log mean cost on log n), so a linear cost reads a slope near 1 however the
+sample path falls.  A verdict is a statement about that interval: it holds 1
+(linear), or it lies above the slope ``n log n`` shows over the same sizes.
 """
 
 from __future__ import annotations
@@ -24,84 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Dict, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.stats.confidence import _t_quantile
 
-__all__ = [
-    "GROWTH_MODELS",
-    "ComplexityFit",
-    "ScalingSlope",
-    "fit_growth_order",
-    "best_growth_order",
-    "loglog_slope",
-]
-
-#: Candidate growth shapes, by name.
-GROWTH_MODELS: Dict[str, Callable[[float], float]] = {
-    "constant": lambda n: 1.0,
-    "log n": lambda n: math.log2(n),
-    "n": lambda n: float(n),
-    "n log n": lambda n: n * math.log2(n),
-    "n^2": lambda n: float(n) ** 2,
-}
-
-
-@dataclass(frozen=True)
-class ComplexityFit:
-    """Result of fitting one growth shape to measured costs."""
-
-    model: str
-    coefficient: float
-    residual_norm: float
-    relative_error: float
-
-    def predict(self, n: int) -> float:
-        """Predicted cost at size ``n`` under this fit."""
-        return self.coefficient * GROWTH_MODELS[self.model](n)
-
-
-def fit_growth_order(
-    sizes: Sequence[int], costs: Sequence[float], model: str
-) -> ComplexityFit:
-    """Least-squares fit of ``costs ~ c * model(sizes)`` for one named model."""
-    if model not in GROWTH_MODELS:
-        raise ValueError(f"unknown growth model {model!r}; choose from {sorted(GROWTH_MODELS)}")
-    if len(sizes) != len(costs) or len(sizes) < 2:
-        raise ValueError("need at least two (size, cost) pairs of equal length")
-    if any(n < 2 for n in sizes):
-        raise ValueError("sizes must be >= 2 (log-based models are undefined below)")
-    g = np.array([GROWTH_MODELS[model](n) for n in sizes], dtype=float)
-    y = np.array(costs, dtype=float)
-    denominator = float(np.dot(g, g))
-    coefficient = float(np.dot(g, y) / denominator) if denominator > 0 else 0.0
-    residuals = y - coefficient * g
-    residual_norm = float(np.linalg.norm(residuals))
-    scale = float(np.linalg.norm(y)) or 1.0
-    return ComplexityFit(
-        model=model,
-        coefficient=coefficient,
-        residual_norm=residual_norm,
-        relative_error=residual_norm / scale,
-    )
-
-
-def best_growth_order(
-    sizes: Sequence[int],
-    costs: Sequence[float],
-    candidates: Sequence[str] = ("n", "n log n", "n^2"),
-) -> Mapping[str, ComplexityFit]:
-    """Fit every candidate shape and return the fits keyed by model name.
-
-    The mapping is ordered from best (smallest relative error) to worst, so
-    ``next(iter(best_growth_order(...)))`` is the winning shape.
-    """
-    fits = [fit_growth_order(sizes, costs, model) for model in candidates]
-    fits.sort(key=lambda fit: fit.relative_error)
-    return {fit.model: fit for fit in fits}
-
+__all__ = ["ScalingSlope", "loglog_slope"]
 
 #: Two-sided 95% normal quantile, for a fit over two sizes (no residual).
 _Z_975 = NormalDist().inv_cdf(0.975)

@@ -28,12 +28,13 @@ import os
 import sqlite3
 import sys
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.store import fingerprint as _fingerprint
 from repro.store.codec import decode_result, encode_result
 
-__all__ = ["ResultStore"]
+__all__ = ["DamagedStoreError", "ResultStore"]
 
 #: sqlite bind-parameter budget per query (the historical hard limit is 999).
 _CHUNK = 500
@@ -63,6 +64,13 @@ def _check_store_file(path: str) -> None:
             "read: pass a new .sqlite path and re-run the trials"
         )
     raise ValueError(message)
+
+
+class DamagedStoreError(ValueError):
+    """A store file sqlite cannot open, read or write (truncated, corrupt).
+
+    Its message is one line naming the path; the CLI exits with it.
+    """
 
 
 def _stale_note(path: str, ignored: int, current: str) -> None:
@@ -127,13 +135,24 @@ class ResultStore:
             self._conn.commit()
             self.stale_ignored = self._count_other_versions()
         except sqlite3.DatabaseError as error:
-            # A truncated or corrupt file: one line naming it, not a traceback.
             self._conn.close()
-            raise ValueError(f"{self.path}: cannot open the result store ({error})") from None
+            raise self._damaged("open", error) from None
         if self.stale_ignored and not self.allow_stale:
             _stale_note(self.path, self.stale_ignored, self.version)
 
     # --------------------------------------------------------------- plumbing
+
+    def _damaged(self, action: str, error: Exception) -> DamagedStoreError:
+        return DamagedStoreError(f"{self.path}: cannot {action} the result store ({error})")
+
+    @contextmanager
+    def _guard(self, action: str) -> Iterator[None]:
+        """A truncated or corrupt file can open and fail at any later query:
+        every query raises one line naming the store, not a traceback."""
+        try:
+            yield
+        except sqlite3.DatabaseError as error:
+            raise self._damaged(action, error) from None
 
     def _count_other_versions(self) -> int:
         row = self._conn.execute(
@@ -153,27 +172,29 @@ class ResultStore:
     # -------------------------------------------------------------------- api
 
     def __len__(self) -> int:
-        if self.allow_stale:
-            row = self._conn.execute(
-                "SELECT COUNT(DISTINCT key || '/' || seed) FROM results"
-            ).fetchone()
-        else:
-            row = self._conn.execute(
-                "SELECT COUNT(*) FROM results WHERE version = ?", (self.version,)
-            ).fetchone()
+        with self._guard("read"):
+            if self.allow_stale:
+                row = self._conn.execute(
+                    "SELECT COUNT(DISTINCT key || '/' || seed) FROM results"
+                ).fetchone()
+            else:
+                row = self._conn.execute(
+                    "SELECT COUNT(*) FROM results WHERE version = ?", (self.version,)
+                ).fetchone()
         return int(row[0])
 
     def __contains__(self, key_seed: Tuple[str, int]) -> bool:
         key, seed = str(key_seed[0]), int(key_seed[1])
-        if self.allow_stale:
-            row = self._conn.execute(
-                "SELECT 1 FROM results WHERE key = ? AND seed = ? LIMIT 1", (key, seed)
-            ).fetchone()
-        else:
-            row = self._conn.execute(
-                "SELECT 1 FROM results WHERE key = ? AND seed = ? AND version = ? LIMIT 1",
-                (key, seed, self.version),
-            ).fetchone()
+        with self._guard("read"):
+            if self.allow_stale:
+                row = self._conn.execute(
+                    "SELECT 1 FROM results WHERE key = ? AND seed = ? LIMIT 1", (key, seed)
+                ).fetchone()
+            else:
+                row = self._conn.execute(
+                    "SELECT 1 FROM results WHERE key = ? AND seed = ? AND version = ? LIMIT 1",
+                    (key, seed, self.version),
+                ).fetchone()
         return row is not None
 
     def lookup(self, key: str, seeds: Sequence[int]) -> Dict[int, Any]:
@@ -185,19 +206,20 @@ class ResultStore:
         seeds = [int(seed) for seed in seeds]
         current: Dict[int, Any] = {}
         stale: Dict[int, Any] = {}
-        for start in range(0, len(seeds), _CHUNK):
-            chunk = seeds[start : start + _CHUNK]
-            marks = ",".join("?" * len(chunk))
-            rows = self._conn.execute(
-                f"SELECT seed, version, payload FROM results"
-                f" WHERE key = ? AND seed IN ({marks})",
-                [key, *chunk],
-            )
-            for seed, version, payload in rows:
-                if version == self.version:
-                    current[seed] = payload
-                elif self.allow_stale and seed not in stale:
-                    stale[seed] = payload
+        with self._guard("read"):
+            for start in range(0, len(seeds), _CHUNK):
+                chunk = seeds[start : start + _CHUNK]
+                marks = ",".join("?" * len(chunk))
+                rows = self._conn.execute(
+                    f"SELECT seed, version, payload FROM results"
+                    f" WHERE key = ? AND seed IN ({marks})",
+                    [key, *chunk],
+                )
+                for seed, version, payload in rows:
+                    if version == self.version:
+                        current[seed] = payload
+                    elif self.allow_stale and seed not in stale:
+                        stale[seed] = payload
         found: Dict[int, Any] = {}
         for seed in seeds:
             payload = current.get(seed)
@@ -229,7 +251,7 @@ class ResultStore:
         if not rows:
             return 0
         before = self._conn.total_changes
-        with self._conn:
+        with self._guard("write to"), self._conn:
             self._conn.executemany(
                 "INSERT OR IGNORE INTO results (key, seed, version, payload, created_at)"
                 " VALUES (?, ?, ?, ?, ?)",
@@ -251,34 +273,33 @@ class ResultStore:
         (``abe-repro export-store``) -- it never touches the hit/miss
         counters, so exporting a store does not distort its cache stats.
         """
-        if all_versions:
-            rows = self._conn.execute(
-                "SELECT key, seed, version, created_at, payload FROM results"
-                " ORDER BY key, seed, version"
-            )
-        else:
-            rows = self._conn.execute(
-                "SELECT key, seed, version, created_at, payload FROM results"
-                " WHERE version = ? ORDER BY key, seed, version",
-                (self.version,),
-            )
-        for key, seed, version, created_at, payload in rows:
-            yield (
-                str(key),
-                int(seed),
-                str(version),
-                float(created_at),
-                decode_result(json.loads(payload)),
-            )
+        query = "SELECT key, seed, version, created_at, payload FROM results"
+        with self._guard("read"):
+            if all_versions:
+                rows = self._conn.execute(query + " ORDER BY key, seed, version")
+            else:
+                rows = self._conn.execute(
+                    query + " WHERE version = ? ORDER BY key, seed, version", (self.version,)
+                )
+            for key, seed, version, created_at, payload in rows:
+                yield (
+                    str(key),
+                    int(seed),
+                    str(version),
+                    float(created_at),
+                    decode_result(json.loads(payload)),
+                )
 
     def keys(self) -> List[str]:
         """Distinct fingerprints present (any version)."""
-        return [row[0] for row in self._conn.execute("SELECT DISTINCT key FROM results")]
+        with self._guard("read"):
+            return [row[0] for row in self._conn.execute("SELECT DISTINCT key FROM results")]
 
     def counts_by_version(self) -> Dict[str, int]:
-        return {
-            str(version): int(count)
-            for version, count in self._conn.execute(
-                "SELECT version, COUNT(*) FROM results GROUP BY version"
-            )
-        }
+        with self._guard("read"):
+            return {
+                str(version): int(count)
+                for version, count in self._conn.execute(
+                    "SELECT version, COUNT(*) FROM results GROUP BY version"
+                )
+            }

@@ -16,26 +16,24 @@ compute and reproduces its aggregates byte for byte.
 Progress streams through a caller-supplied callback (the CLI prints it to
 stderr), and each completed job can be exported as a JSON document whose
 ``points`` block is deliberately free of cache statistics and timing, so
-two runs of the same study are byte-comparable.  See ``docs/SERVICE.md``.
+two runs of the same study are byte-comparable.  Each point's ``summary``
+is :func:`repro.report.point_summary` of its results.  See
+``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.report import point_summary
 from repro.store import fingerprint as _fingerprint
 from repro.store.result_store import ResultStore
 
 __all__ = ["JobReport", "PointReport", "StudyService", "study_from_spec"]
-
-#: Identifier-like result fields excluded from exported aggregates (a mean
-#: over derived 64-bit seeds or anonymous node uids is noise, not a metric).
-_IDENTIFIER_COLUMNS = frozenset({"seed", "leader_uid", "node_uid", "uid"})
 
 
 def study_from_spec(spec: Any) -> Any:
@@ -52,54 +50,6 @@ def study_from_spec(spec: Any) -> Any:
     if isinstance(spec, ScenarioSpec):
         return StudySpec(name=spec.label or spec.algorithm, points=(spec,))
     raise TypeError(f"cannot serve a {type(spec).__name__}; submit a scenario or study spec")
-
-
-def _point_summary(results: Sequence[Any]) -> Dict[str, Any]:
-    """Deterministic scenario-level aggregates of one point's results.
-
-    Mirrors the ``aggregates over all trials`` block of
-    :func:`repro.scenarios.report.render_scenario`: exact-float mean/min/max
-    per numeric result field, true-counts for booleans.  Pure function of
-    the (bit-identical) trial results, so re-served runs export byte-equal
-    summaries.
-    """
-    from repro.experiments.resilience import TrialFailure
-
-    flat: List[Any] = []
-    for result in results:
-        if isinstance(result, list):  # one-shot batteries return row lists
-            flat.extend(result)
-        else:
-            flat.append(result)
-    failures = sum(1 for result in flat if isinstance(result, TrialFailure))
-    rows: List[Dict[str, Any]] = []
-    for result in flat:
-        if isinstance(result, TrialFailure):
-            continue
-        if dataclasses.is_dataclass(result) and not isinstance(result, type):
-            rows.append(dataclasses.asdict(result))
-        elif isinstance(result, dict):
-            rows.append(dict(result))
-    metrics: Dict[str, Any] = {}
-    if rows:
-        for key in rows[0]:
-            if key in _IDENTIFIER_COLUMNS:
-                continue
-            values = [row.get(key) for row in rows]
-            numeric = [
-                float(v)
-                for v in values
-                if isinstance(v, (int, float)) and not isinstance(v, bool)
-            ]
-            if len(numeric) == len(values) and numeric:
-                metrics[key] = {
-                    "mean": sum(numeric) / len(numeric),
-                    "min": min(numeric),
-                    "max": max(numeric),
-                }
-            elif all(isinstance(v, bool) for v in values):
-                metrics[key] = {"true": sum(values), "total": len(values)}
-    return {"trials": len(flat), "failures": failures, "metrics": metrics}
 
 
 @dataclass
@@ -362,7 +312,7 @@ class StudyService:
             algorithm=point.algorithm,
             fingerprint=fingerprint,
             spec=point.to_dict(),
-            summary=_point_summary(results),
+            summary=point_summary(results),
             results=list(results),
             lookups=hits + misses,
             hits=hits,

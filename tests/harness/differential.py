@@ -13,7 +13,7 @@ Golden provenance
 -----------------
 The goldens were first generated at commit ``19a8dd0``, before the
 election-core refactor.  Four intended stream / event-accounting changes
-have re-pointed or extended them since:
+and one report change have re-pointed or extended them since:
 
 * **Fast defaults.**  Batched ticks (``batch_ticks``) and a block delay
   sampler became the library defaults.  ``election_scalar_n16`` pinned the
@@ -64,6 +64,15 @@ have re-pointed or extended them since:
   whose object-vs-vector rows passed at their fixed seeds, trial counts and
   significance level.  The new golden file moves ``code_version()``, so
   vector results stored before the switch go stale.
+* **One scaling verdict.**  E2 stopped naming the best of three growth
+  shapes (the shape-name and ``linear_is_best`` findings) and reports the
+  weighted log-log slope of its mean election time with its 95% CI and
+  whether that interval holds 1 (``time_slope``, ``time_slope_ci_low``,
+  ``time_slope_ci_high``, ``time_slope_ci_holds_1``).  Only the
+  ``findings`` block of ``experiment_e2_reduced`` was re-recorded; its
+  table rows and parameters, and every other golden, passed unchanged, so
+  no simulated value moved.  The re-record moves ``code_version()``, so
+  stores filled before it go stale.
 
 Stream migration (vector core)
 ------------------------------

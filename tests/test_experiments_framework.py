@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import format_cell, format_table, render_experiment
-from repro.experiments.results import ExperimentResult, ResultTable
 from repro.experiments.runner import mean_of_attribute, monte_carlo, trial_seeds
 from repro.experiments.workloads import (
     DEFAULT_RING_SIZES,
     delay_families_with_mean,
     election_spec,
+)
+from repro.report import (
+    ExperimentResult,
+    ResultTable,
+    format_cell,
+    format_table,
+    render_experiment,
 )
 from repro.scenarios import StudySpec, run_scenario, run_study
 

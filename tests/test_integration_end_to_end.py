@@ -21,7 +21,6 @@ from repro.network.retransmission import GeometricRetransmissionDelay
 from repro.network.routing import DynamicRoutingDelay
 from repro.network.adversary import TargetedSlowdownAdversary
 from repro.sim.clock import RandomWalkDrift
-from repro.stats.complexity_fit import best_growth_order
 
 
 class TestElectionOverMotivatingDelaySources:
@@ -84,25 +83,6 @@ class TestKitchenSinkConfiguration:
 
 
 class TestScalingShape:
-    def test_linear_fit_wins_with_enough_data(self):
-        # A compressed version of E1 with enough trials for a stable fit.
-        from repro.experiments.workloads import election_spec
-        from repro.scenarios import run_scenario
-
-        sizes = [8, 16, 32, 64]
-        means = []
-        for n in sizes:
-            results = run_scenario(election_spec(n, trials=20, base_seed=77))
-            means.append(
-                sum(r.messages_total for r in results) / len(results)
-            )
-        fits = best_growth_order(sizes, means)
-        best = next(iter(fits))
-        assert best in ("n", "n log n")
-        # Either way the per-node cost must stay within a small constant.
-        per_node = [m / n for m, n in zip(means, sizes)]
-        assert max(per_node) < 4.0
-
     def test_experiment_results_are_deterministic(self):
         a = e1_message_complexity.run(sizes=(8, 16), trials=4, base_seed=123)
         b = e1_message_complexity.run(sizes=(8, 16), trials=4, base_seed=123)

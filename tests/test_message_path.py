@@ -352,9 +352,9 @@ class TestElectionBitIdentity:
 
     def test_e1_run_golden(self):
         """A full (reduced-size) E1 run is bit-reproducible: same means,
-        same confidence intervals, same findings.  (Four trials per size are
-        far too few for the growth-order finding to mean anything; it is
-        pinned as a value, not as a claim.)"""
+        same confidence intervals, same findings.  (Two sizes of four trials
+        are far too few for the log-log slope to mean anything; it is pinned
+        as a value, not as a claim.)"""
         from repro.experiments import e1_message_complexity
 
         result = e1_message_complexity.run(sizes=(8, 16), trials=4, base_seed=11)
@@ -362,7 +362,7 @@ class TestElectionBitIdentity:
         assert [row["messages_mean"] for row in rows] == [10.0, 32.0]
         assert rows[0]["messages_ci95"] == 6.364892610567416
         assert rows[1]["messages_ci95"] == 0.0
-        assert result.findings["best_growth_order"] == "n log n"
+        assert result.findings["messages_slope"] == 1.6780719051126374
         assert result.findings["max_messages_per_node"] == 2.0
         assert result.findings["all_runs_elected"] is True
 

@@ -6,7 +6,6 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.stats.complexity_fit import GROWTH_MODELS, best_growth_order, fit_growth_order
 from repro.stats.confidence import confidence_interval
 from repro.stats.distributions import ecdf, empirical_quantile, tail_mass
 from repro.stats.estimators import mean, sample_variance, summarise
@@ -87,25 +86,3 @@ def test_quantiles_are_order_statistics(data, q):
     assert value in data
     assert empirical_quantile(data, 0.0) == min(data)
     assert empirical_quantile(data, 1.0) == max(data)
-
-
-@given(
-    coefficient=st.floats(min_value=0.01, max_value=100.0),
-    model=st.sampled_from(["n", "n log n", "n^2"]),
-    noise=st.floats(min_value=0.0, max_value=0.05),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=100, deadline=None)
-def test_growth_fit_recovers_generating_model(coefficient, model, noise, seed):
-    import random
-
-    rng = random.Random(seed)
-    sizes = [8, 16, 32, 64, 128, 256]
-    costs = [
-        coefficient * GROWTH_MODELS[model](n) * (1.0 + rng.uniform(-noise, noise))
-        for n in sizes
-    ]
-    fits = best_growth_order(sizes, costs)
-    assert next(iter(fits)) == model
-    direct = fit_growth_order(sizes, costs, model)
-    assert math.isclose(direct.coefficient, coefficient, rel_tol=max(0.2, 3 * noise))

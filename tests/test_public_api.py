@@ -25,6 +25,7 @@ PUBLIC_MODULES = [
     "repro.synchronizers",
     "repro.stats",
     "repro.experiments",
+    "repro.report",
     "repro.cli",
 ]
 

@@ -27,6 +27,7 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import AdaptiveStopping, monte_carlo, trial_seeds
 from repro.experiments.workloads import election_spec
 from repro.network.delays import ExponentialDelay
+from repro.report import render_scenario
 from repro.scenarios import (
     ALGORITHMS,
     DELAYS,
@@ -41,7 +42,6 @@ from repro.scenarios import (
     spec_from_dict,
 )
 from repro.scenarios.registry import DRIFTS, SCHEDULES, build_delay
-from repro.scenarios.report import render_scenario
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 

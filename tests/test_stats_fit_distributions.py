@@ -1,4 +1,4 @@
-"""Unit tests for growth-order fitting and empirical distribution helpers."""
+"""Unit tests for the log-log growth slope and empirical distribution helpers."""
 
 from __future__ import annotations
 
@@ -7,65 +7,8 @@ import random
 
 import pytest
 
-from repro.stats.complexity_fit import (
-    GROWTH_MODELS,
-    best_growth_order,
-    fit_growth_order,
-    loglog_slope,
-)
+from repro.stats.complexity_fit import loglog_slope
 from repro.stats.distributions import ecdf, empirical_quantile, tail_mass
-
-
-class TestGrowthFit:
-    SIZES = [8, 16, 32, 64, 128, 256]
-
-    def test_recovers_linear_growth(self):
-        costs = [3.0 * n for n in self.SIZES]
-        fits = best_growth_order(self.SIZES, costs)
-        assert next(iter(fits)) == "n"
-        assert fits["n"].coefficient == pytest.approx(3.0)
-        assert fits["n"].relative_error < 1e-9
-
-    def test_recovers_nlogn_growth(self):
-        costs = [2.0 * n * math.log2(n) for n in self.SIZES]
-        assert next(iter(best_growth_order(self.SIZES, costs))) == "n log n"
-
-    def test_recovers_quadratic_growth(self):
-        costs = [0.5 * n * n for n in self.SIZES]
-        assert next(iter(best_growth_order(self.SIZES, costs))) == "n^2"
-
-    def test_robust_to_moderate_noise(self):
-        rng = random.Random(7)
-        costs = [5.0 * n * (1.0 + rng.uniform(-0.15, 0.15)) for n in self.SIZES]
-        assert next(iter(best_growth_order(self.SIZES, costs))) == "n"
-
-    def test_prediction_uses_fitted_coefficient(self):
-        fit = fit_growth_order([2, 4, 8], [4.0, 8.0, 16.0], "n")
-        assert fit.predict(16) == pytest.approx(32.0)
-
-    def test_constant_and_log_models_available(self):
-        assert "constant" in GROWTH_MODELS
-        costs = [5.0, 5.0, 5.0]
-        fit = fit_growth_order([4, 8, 16], costs, "constant")
-        assert fit.coefficient == pytest.approx(5.0)
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            fit_growth_order([2, 4], [1.0, 2.0], "n^3")
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            fit_growth_order([2], [1.0], "n")
-        with pytest.raises(ValueError):
-            fit_growth_order([2, 4], [1.0], "n")
-        with pytest.raises(ValueError):
-            fit_growth_order([1, 2], [1.0, 2.0], "n")
-
-    def test_best_growth_order_sorted_by_error(self):
-        costs = [2.0 * n for n in self.SIZES]
-        fits = best_growth_order(self.SIZES, costs)
-        errors = [fit.relative_error for fit in fits.values()]
-        assert errors == sorted(errors)
 
 
 class TestLogLogSlope:

@@ -246,6 +246,27 @@ def truncated_store(tmp_path, share=0.9):
     return path
 
 
+#: The keys of :func:`damaged_store`, 100 rows each.
+DAMAGED_KEYS = ("k0", "k1", "k2", "k3")
+
+
+def damaged_store(tmp_path):
+    """Four keys of 100 padded rows cut to 99% of the file's bytes.
+
+    The schema page survives the cut, so the store opens; the pages of the
+    last rows are gone, so queries that reach them fail.
+    """
+    path = tmp_path / "damaged.sqlite"
+    with ResultStore(path, fresh=True) as store:
+        for key in DAMAGED_KEYS:
+            store.record_many(
+                key, [(seed, {"m": float(seed), "pad": "x" * 200}) for seed in range(100)]
+            )
+    data = path.read_bytes()
+    path.write_bytes(data[: int(len(data) * 0.99)])
+    return path
+
+
 class TestStorePathValidation:
     @pytest.mark.parametrize("fresh", [False, True])
     def test_jsonl_journal_is_refused_and_left_byte_identical(self, tmp_path, fresh):
@@ -299,6 +320,40 @@ class TestStorePathValidation:
         assert "Traceback" not in completed.stderr
         (line,) = completed.stderr.strip().splitlines()
         assert line.startswith(f"{path}: cannot open the result store (")
+
+    def test_a_store_that_opens_fails_its_damaged_queries_in_one_line(self, tmp_path):
+        path = damaged_store(tmp_path)
+        with ResultStore(path) as store:  # the cut leaves the schema readable
+            answered, failed = [], []
+            for key in DAMAGED_KEYS:
+                try:
+                    answered.append(len(store.lookup(key, range(100))))
+                except ValueError as error:
+                    failed.append(str(error))
+            with pytest.raises(ValueError) as info:
+                list(store.iter_rows())
+        assert failed and set(answered) <= {100}
+        for message in failed + [str(info.value)]:
+            assert message.startswith(f"{path}: cannot read the result store (")
+            assert "\n" not in message
+
+    def test_export_store_on_a_damaged_store_exits_in_one_line(self, tmp_path):
+        path = damaged_store(tmp_path)
+        previous = tmp_path / "rows.csv"
+        previous.write_text("an earlier export\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "export-store", str(path), "--csv", str(previous)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert completed.returncode != 0
+        assert "Traceback" not in completed.stderr
+        (line,) = completed.stderr.strip().splitlines()
+        assert line.startswith(f"{path}: cannot read the result store (")
+        assert previous.read_text() == "an earlier export\n"
 
     @pytest.mark.parametrize("resume", [False, True])
     def test_checkpoint_flag_on_a_journal_exits_in_one_line(self, tmp_path, resume):

@@ -241,6 +241,35 @@ class TestServeCLI:
             )
 
 
+class TestNamedOneShotMetrics:
+    """A one-shot measurement returns named fields, so its point summary,
+    the served metric column and the scenario table can all find them."""
+
+    PROBABILITIES = (0.5, 0.9)
+
+    def test_served_e4_summary_carries_the_study_metric(self, tmp_path):
+        from repro.experiments import e4_retransmission
+        from repro.report import render_scenario
+
+        study = e4_retransmission.build_study(probabilities=self.PROBABILITIES, messages=2000)
+        with ResultStore(tmp_path / "e4.sqlite") as store:
+            with StudyService(store) as service:
+                service.submit(study)
+                (report,) = service.run_pending()
+        table = e4_retransmission.run(probabilities=self.PROBABILITIES, messages=2000).table()
+        assert study.metric == "closed_form_mean_delay"
+        for point, expected in zip(report.points, table.column("closed_form_mean_delay")):
+            metrics = point.summary["metrics"]
+            assert sorted(metrics) == [
+                "closed_form_mean_delay",
+                "mechanistic_mean_attempts",
+                "tail_measured",
+            ]
+            assert metrics["closed_form_mean_delay"]["mean"] == expected
+        rendered = render_scenario(study.points[0], report.points[0].results)
+        assert "closed_form_mean_delay" in rendered and "value_0" not in rendered
+
+
 class TestOneShotPointsUnderThePolicy:
     """One-shot points (the E4/E5 shape) run through the executor's ``map``,
     so ``--retries`` covers them exactly like Monte-Carlo trials."""

@@ -392,7 +392,7 @@ class TestScenarioWiring:
             )
 
     def test_study_scaling_fits(self):
-        from repro.scenarios.report import render_study_scaling, study_scaling_fits
+        from repro.report import render_study_scaling, study_scaling_fits
         from repro.scenarios.runtime import run_study
         from repro.scenarios.spec import ScenarioSpec, SpecNode, StudySpec
 
@@ -420,7 +420,7 @@ class TestScenarioWiring:
         assert "best fit" not in text
 
     def test_scaling_fits_none_for_single_size(self):
-        from repro.scenarios.report import study_scaling_fits
+        from repro.report import study_scaling_fits
         from repro.scenarios.runtime import run_study
         from repro.scenarios.spec import ScenarioSpec, SpecNode, StudySpec
 
@@ -435,7 +435,7 @@ class TestScenarioWiring:
         assert study_scaling_fits(study, per_point) is None
 
     def test_scaling_fits_none_for_a_single_value_per_size(self):
-        from repro.scenarios.report import render_study_scaling, study_scaling_fits
+        from repro.report import render_study_scaling, study_scaling_fits
         from repro.scenarios.runtime import run_study
         from repro.scenarios.spec import ScenarioSpec, SpecNode, StudySpec
 
@@ -458,7 +458,7 @@ class TestScenarioWiring:
     def test_scaling_fits_none_when_trials_send_nothing(self):
         from types import SimpleNamespace
 
-        from repro.scenarios.report import render_study_scaling, study_scaling_fits
+        from repro.report import render_study_scaling, study_scaling_fits
         from repro.scenarios.runtime import run_study
         from repro.scenarios.spec import ScenarioSpec, SpecNode, StudySpec
 
