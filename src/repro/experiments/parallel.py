@@ -13,8 +13,11 @@ once: the worker count, an optional
 :class:`~repro.experiments.resilience.ExecutionPolicy` (per-trial timeouts,
 retries, pool rebuilds) and an optional :class:`~repro.store.ResultStore`
 (cached trials are served from it, fresh ones journaled into it).  Its
-:meth:`~SweepPool.map` is the only fan-out and :meth:`~SweepPool.monte_carlo`
-the only trial loop, fixed-count or adaptive.
+:meth:`~SweepPool.map` is the only fan-out and :meth:`~SweepPool.run_points`
+the only trial loop: it advances a whole battery of points, fixed-count,
+adaptive or one-shot, round by round, so every point of a round shares each
+pool map and each store transaction.  :meth:`~SweepPool.run_seeds` and
+:meth:`~SweepPool.monte_carlo` are its one-point calls.
 
 Worker processes are forked once and reused by every ``map``, so a callable
 fanned over more than one worker must pickle: use a module-level function, a
@@ -30,7 +33,20 @@ import multiprocessing
 import os
 import pickle
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.experiments.resilience import (
     ExecutionPolicy,
@@ -46,6 +62,7 @@ if TYPE_CHECKING:
     from repro.store.result_store import ResultStore
 
 __all__ = [
+    "PointRun",
     "SweepPool",
     "default_worker_count",
     "fork_available",
@@ -122,11 +139,12 @@ class SweepPool:
         appended to ``policy.failures``).  Timeouts need a worker to kill and
         so apply to pooled maps only.
     store:
-        Optional :class:`~repro.store.ResultStore`.  Keyed trials
-        (:meth:`run_seeds` / :meth:`monte_carlo` with a ``key``) are looked up
-        before dispatch and journaled as they complete: after every trial
-        when serial, after every ``max(16, 4 * workers)`` trials on a pool.
-        Failed trials are never journaled, so a resumed run re-attempts them.
+        Optional :class:`~repro.store.ResultStore`.  Keyed trials (points
+        with a ``key``) are looked up before dispatch and journaled as they
+        complete: after every trial when serial, after every
+        ``max(16, 4 * workers)`` trials on a pool, in one transaction per
+        block whichever points its trials belong to.  Failed trials are
+        never journaled, so a resumed run re-attempts them.
 
     Results never depend on the worker count, the policy (absent failures)
     or the store: every trial is a pure function of its seed.
@@ -216,31 +234,13 @@ class SweepPool:
     ) -> List[T]:
         """``run_one`` at every seed, in seed order, through the store.
 
-        With a store and a ``key`` (a spec fingerprint, or
-        :func:`~repro.store.callable_fingerprint` for a raw callable),
-        completed ``(key, seed)`` trials come from the store and only the
-        missing ones are mapped, in journaling blocks; without either every
-        seed is mapped and nothing is recorded.
+        A one-point :meth:`run_points`: with a store and a ``key`` (a spec
+        fingerprint, or :func:`~repro.store.callable_fingerprint` for a raw
+        callable), completed ``(key, seed)`` trials come from the store and
+        only the missing ones are mapped, in journaling blocks; without
+        either every seed is mapped and nothing is recorded.
         """
-        seeds = list(seeds)
-        if self.store is None or key is None:
-            return self.map(run_one, seeds)
-        by_seed: Dict[int, Any] = self.store.lookup(key, seeds)
-        missing = [seed for seed in seeds if seed not in by_seed]
-        step = 1 if self.workers == 1 else max(16, 4 * self.workers)
-        for start in range(0, len(missing), step):
-            block = missing[start : start + step]
-            fresh = self.map(run_one, block)
-            by_seed.update(zip(block, fresh))
-            self.store.record_many(
-                key,
-                [
-                    (seed, result)
-                    for seed, result in zip(block, fresh)
-                    if not isinstance(result, TrialFailure)
-                ],
-            )
-        return [by_seed[seed] for seed in seeds]
+        return self.run_points([PointRun(run_one, list(seeds), key=key)])[0]
 
     # ------------------------------------------------------------ monte carlo
 
@@ -259,43 +259,190 @@ class SweepPool:
 
         Trial ``i`` uses ``derive_seed(base_seed, "[label/]trial{i}")``
         (:func:`~repro.experiments.runner.trial_seeds`); ``keep`` filters the
-        ordered results afterwards.  ``adaptive`` (an
+        ordered results.  ``adaptive`` (an
         :class:`~repro.experiments.runner.AdaptiveStopping`) runs ``min_trials``
         first and then ``batch_size`` batches, stopping at the first batch
         boundary where the target metric's Student-t interval is tight enough
         (``trials`` is the default ``max_trials``); ``stats_out`` then
-        receives ``trials_executed`` and ``stopped_early``.  Each batch is one
-        :meth:`run_seeds` call, so the stopping point depends only on the
+        receives ``trials_executed`` and ``stopped_early``.  A one-point
+        :meth:`run_points`, so the stopping point depends only on the
         per-seed results -- identical for every worker count and for a run
         resumed from ``key``'s stored trials.
         """
+        point = PointRun.derived(
+            run_one, trials, base_seed, label, adaptive=adaptive, keep=keep, key=key
+        )
+        self.run_points([point])
+        if stats_out is not None and point.adaptive is not None:
+            stats_out["trials_executed"] = point.trials_executed
+            stats_out["stopped_early"] = point.stopped_early
+        return point.results
+
+    # ---------------------------------------------------------------- battery
+
+    def run_points(self, points: Sequence[PointRun]) -> List[List[Any]]:
+        """Advance a battery of points together; per-point results in order.
+
+        The one trial loop.  Each round takes the next seeds of every
+        unfinished point (all of a fixed-count point's seeds; ``min_trials``
+        and then ``batch_size`` seeds of an adaptive one), looks each keyed
+        point's seeds up in the store, and maps every missing trial of the
+        round -- across points -- in journaling blocks: one trial per block
+        serially, ``max(16, 4 * workers)`` on a pool, each block recorded in
+        one store transaction.  Without a store a round is one map.
+
+        A point whose key an earlier unfinished point holds waits until that
+        point finishes, so its lookups see the earlier point's rows.  Per
+        point, the results, the stopping point, the store rows and the
+        lookup counts are those of running the points one after another;
+        only the grouping of trials into maps and transactions differs.
+        Every trial callable must pickle when the pool fans out; that is
+        checked for every point before the first dispatch.
+        """
+        points = list(points)
+        store = self.store
+        step = 1 if self.workers == 1 else max(16, 4 * self.workers)
+        checked = False
+        while True:
+            round_: List[Tuple[PointRun, List[int], Dict[int, Any]]] = []
+            pending: List[Tuple[Dict[int, Any], Optional[str], _Trial]] = []
+            in_flight = set()
+            for point in points:
+                if point.finished:
+                    continue
+                key = point.key if store is not None else None
+                if key is not None:
+                    if key in in_flight:
+                        continue
+                    in_flight.add(key)
+                seeds = point._next_seeds()
+                found: Dict[int, Any] = {}
+                if key is not None:
+                    found = store.lookup(key, seeds)
+                    point.lookups += len(seeds)
+                    point.hits += len(found)
+                round_.append((point, seeds, found))
+                pending.extend(
+                    (found, key, _Trial(point.run_one, seed)) for seed in seeds if seed not in found
+                )
+            if not round_:
+                return [point.results for point in points]
+            if pending and not checked:
+                if self.workers > 1 and fork_available():
+                    for point in points:
+                        _require_picklable(point.run_one)
+                checked = True
+            size = step if store is not None else max(1, len(pending))
+            for start in range(0, len(pending), size):
+                block = pending[start : start + size]
+                fresh = self.map(_call_trial, [trial for _, _, trial in block])
+                rows = []
+                for (found, key, trial), result in zip(block, fresh):
+                    found[trial.seed] = result
+                    if key is not None and not isinstance(result, TrialFailure):
+                        rows.append((key, trial.seed, result))
+                if rows:
+                    store.record_many(rows)
+            for point, seeds, found in round_:
+                point._absorb([found[seed] for seed in seeds])
+
+
+class _Trial(NamedTuple):
+    """One mapped trial of a battery: a point's callable at one seed.
+
+    Its ``repr`` is the seed's, so a :class:`TrialFailure` reads as it would
+    for a map over bare seeds.
+    """
+
+    run_one: Callable[[int], Any]
+    seed: int
+
+    def __repr__(self) -> str:
+        return repr(self.seed)
+
+
+def _call_trial(trial: _Trial) -> Any:
+    """The callable every battery map ships (module-level: must pickle)."""
+    return trial.run_one(trial.seed)
+
+
+@dataclass(eq=False)
+class PointRun:
+    """One point of a battery on :meth:`SweepPool.run_points`.
+
+    The inputs are the point's ``seed -> result`` trial callable
+    ``run_one``, its ``seeds`` (under ``adaptive``, every seed the rule may
+    reach), its store ``key`` (``None`` bypasses the store), a resolved
+    :class:`~repro.experiments.runner.AdaptiveStopping` rule and a ``keep``
+    filter.  The loop fills in the rest: the kept ``results`` in seed
+    order, ``trials_executed`` (seeds gone through, cached or run),
+    ``stopped_early``, and the store rows asked for (``lookups``) and found
+    (``hits``).
+    """
+
+    run_one: Callable[[int], Any]
+    seeds: Sequence[int]
+    key: Optional[str] = None
+    adaptive: Optional["AdaptiveStopping"] = None
+    keep: Optional[Callable[[Any], bool]] = None
+    results: List[Any] = field(default_factory=list, init=False)
+    trials_executed: int = field(default=0, init=False)
+    stopped_early: bool = field(default=False, init=False)
+    lookups: int = field(default=0, init=False)
+    hits: int = field(default=0, init=False)
+    _values: List[float] = field(default_factory=list, init=False, repr=False)
+    _converged: bool = field(default=False, init=False, repr=False)
+
+    @classmethod
+    def derived(
+        cls,
+        run_one: Callable[[int], Any],
+        trials: int,
+        base_seed: int = 0,
+        label: str = "",
+        *,
+        adaptive: Optional["AdaptiveStopping"] = None,
+        keep: Optional[Callable[[Any], bool]] = None,
+        key: Optional[str] = None,
+    ) -> "PointRun":
+        """A Monte-Carlo point over ``trial_seeds(base_seed, n, label)``:
+        ``n`` is ``trials``, or the rule's ``max_trials`` when it pins one
+        (an unpinned rule metric resolves to ``messages_total``)."""
         from repro.experiments.runner import trial_seeds  # late: avoids cycle
 
-        if adaptive is None:
-            outcomes = self.run_seeds(run_one, trial_seeds(base_seed, trials, label), key)
-            return outcomes if keep is None else [o for o in outcomes if keep(o)]
+        if adaptive is not None:
+            adaptive = adaptive.resolved("messages_total")
+            if adaptive.max_trials is not None:
+                trials = adaptive.max_trials
+        return cls(run_one, trial_seeds(base_seed, trials, label), key, adaptive, keep)
 
-        adaptive = adaptive.resolved("messages_total")
-        max_trials = adaptive.max_trials if adaptive.max_trials is not None else trials
-        min_trials = min(adaptive.min_trials, max_trials)
-        seeds = trial_seeds(base_seed, max_trials, label)
-        kept: List[T] = []
-        values: List[float] = []
-        index = 0
-        converged = False
-        while index < max_trials and not converged:
-            upper = min_trials if index < min_trials else min(index + adaptive.batch_size, max_trials)
-            for outcome in self.run_seeds(run_one, seeds[index:upper], key):
-                if keep is not None and not keep(outcome):
-                    continue
-                kept.append(outcome)
-                value = getattr(outcome, adaptive.metric)
+    @property
+    def finished(self) -> bool:
+        return self._converged or self.trials_executed >= len(self.seeds)
+
+    def _next_seeds(self) -> List[int]:
+        done = self.trials_executed
+        if self.adaptive is None:
+            upper = len(self.seeds)
+        elif done == 0:
+            upper = min(self.adaptive.min_trials, len(self.seeds))
+        else:
+            upper = min(done + self.adaptive.batch_size, len(self.seeds))
+        return list(self.seeds[done:upper])
+
+    def _absorb(self, outcomes: List[Any]) -> None:
+        rule = self.adaptive
+        for outcome in outcomes:
+            if self.keep is not None and not self.keep(outcome):
+                continue
+            self.results.append(outcome)
+            if rule is not None:
+                value = getattr(outcome, rule.metric)
                 if value is not None:
-                    values.append(float(value))
-            index = upper
-            if len(values) >= 2:
-                converged = relative_half_width(values, adaptive.confidence) <= adaptive.ci_tolerance
-        if stats_out is not None:
-            stats_out["trials_executed"] = index
-            stats_out["stopped_early"] = converged and index < max_trials
-        return kept
+                    self._values.append(float(value))
+        self.trials_executed += len(outcomes)
+        if rule is not None and len(self._values) >= 2:
+            self._converged = (
+                relative_half_width(self._values, rule.confidence) <= rule.ci_tolerance
+            )
+        self.stopped_early = self._converged and self.trials_executed < len(self.seeds)

@@ -72,7 +72,8 @@ class TrialFailure:
     Attributes
     ----------
     seed:
-        The trial seed (``None`` when the mapped item was not a seed).
+        The trial seed: the mapped item itself, or its ``seed`` attribute
+        (``None`` when it has neither).
     item:
         ``repr`` of the mapped item, for non-seed fan-outs.
     attempts:
@@ -102,7 +103,7 @@ class TrialFailure:
 
 def _failure_from(item: Any, attempts: int, kind: str, error: BaseException) -> TrialFailure:
     return TrialFailure(
-        seed=item if isinstance(item, int) else None,
+        seed=item if isinstance(item, int) else getattr(item, "seed", None),
         item=repr(item),
         attempts=attempts,
         kind=kind,

@@ -1,7 +1,9 @@
 """The single entry point from declarative specs to running simulations.
 
-:func:`run_scenario` compiles one :class:`~repro.scenarios.spec.ScenarioSpec`
-into its trial callable and runs it on the one trial executor,
+:func:`compile_point` compiles one :class:`~repro.scenarios.spec.ScenarioSpec`
+into its executor point (:class:`~repro.experiments.parallel.PointRun`):
+its trial callable, its seed list, its store key and its stopping rule.
+:func:`run_scenario` runs one such point on the one trial executor,
 :class:`~repro.experiments.parallel.SweepPool`, and returns the trial
 results.  The compiled trial, the derived seed list and the adaptive batch
 boundaries are exactly the ones the hand-threaded experiment code produced,
@@ -9,9 +11,10 @@ so a spec that mirrors an experiment's parameters reproduces its results bit
 for bit -- locked by the pre-refactor goldens in ``tests/harness``.
 
 :func:`run_study` executes a :class:`~repro.scenarios.spec.StudySpec` -- an
-ordered battery of points -- point by point on one shared executor, so pool
-startup is paid once per study and every trial goes through the executor's
-policy and store.
+ordered battery of points -- as one battery on one shared executor: every
+point is compiled first, then each round's trials of all points share the
+pool's maps and the store's transactions, and every trial goes through the
+executor's policy and store.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.store.fingerprint import spec_fingerprint
 # (SweepPool) is imported lazily inside the entry points to keep the import
 # graph acyclic.
 
-__all__ = ["compile_trial", "run_scenario", "run_study"]
+__all__ = ["compile_point", "compile_trial", "run_scenario", "run_study"]
 
 
 def compile_trial(spec: ScenarioSpec) -> Any:
@@ -38,6 +41,36 @@ def compile_trial(spec: ScenarioSpec) -> Any:
     """
     entry: AlgorithmEntry = ALGORITHMS.get(spec.algorithm)
     return entry.build_trial(spec)
+
+
+def compile_point(spec: ScenarioSpec, adaptive: Optional[Any] = None) -> Any:
+    """Compile a spec into its :class:`~repro.experiments.parallel.PointRun`.
+
+    The point's trial callable is :func:`compile_trial`'s, its store key the
+    spec fingerprint.  A one-shot workload is one evaluation at the raw spec
+    seed; any other spec runs ``spec.trials`` derived seeds under
+    ``adaptive`` (or else the spec's ``stopping`` rule), whose unpinned
+    metric resolves to the algorithm's target.  The key is ``None`` when
+    the spec refuses a canonical fingerprint (an override whose repr carries
+    a memory address -- a per-process key that could never hit), and the
+    point then runs without the store.
+    """
+    from repro.experiments.parallel import PointRun  # late: avoids cycle
+
+    entry: AlgorithmEntry = ALGORITHMS.get(spec.algorithm)
+    run_one = entry.build_trial(spec)
+    if entry.one_shot and spec.trials != 1:
+        raise ValueError(
+            f"algorithm {spec.algorithm!r} is a one-shot evaluation; "
+            f"use one point per parameter value instead of trials={spec.trials}"
+        )
+    key = spec_fingerprint(spec)
+    if entry.one_shot:
+        return PointRun(run_one, [spec.seed], key=key)
+    rule = adaptive if adaptive is not None else spec.stopping
+    if rule is not None:
+        rule = rule.resolved(entry.metric)
+    return PointRun.derived(run_one, spec.trials, spec.seed, spec.label, adaptive=rule, key=key)
 
 
 def run_scenario(
@@ -58,10 +91,7 @@ def run_scenario(
         apply.  Trials are stored under ``(spec fingerprint, seed)`` -- the
         fingerprint is content-derived from the spec minus its
         execution-only fields, so a resumed study with a different worker
-        count still hits the store and produces bit-identical results.  A
-        spec that refuses a canonical fingerprint (an override whose repr
-        carries a memory address -- a per-process key that could never hit)
-        runs without the store.
+        count still hits the store and produces bit-identical results.
     workers:
         Worker processes for a pool owned by this call when none is given
         (``None`` = the spec's ``workers`` field; ``0`` = one per CPU).
@@ -74,31 +104,14 @@ def run_scenario(
     """
     from repro.experiments.parallel import SweepPool  # late: avoids cycle
 
-    entry: AlgorithmEntry = ALGORITHMS.get(spec.algorithm)
-    run_one = entry.build_trial(spec)
-    if entry.one_shot and spec.trials != 1:
-        raise ValueError(
-            f"algorithm {spec.algorithm!r} is a one-shot evaluation; "
-            f"use one point per parameter value instead of trials={spec.trials}"
-        )
-    key = spec_fingerprint(spec)
+    point = compile_point(spec, adaptive)
     worker_count = spec.workers if workers is None else workers
     with SweepPool.ensure(pool, worker_count or None) as shared:  # 0 = one per CPU
-        if entry.one_shot:
-            # One deterministic evaluation, at the raw spec seed.
-            return shared.run_seeds(run_one, [spec.seed], key)
-        rule = adaptive if adaptive is not None else spec.stopping
-        if rule is not None:
-            rule = rule.resolved(entry.metric)
-        return shared.monte_carlo(
-            run_one,
-            trials=spec.trials,
-            base_seed=spec.seed,
-            label=spec.label,
-            adaptive=rule,
-            stats_out=stats_out,
-            key=key,
-        )
+        shared.run_points([point])
+    if stats_out is not None and point.adaptive is not None:
+        stats_out["trials_executed"] = point.trials_executed
+        stats_out["stopped_early"] = point.stopped_early
+    return point.results
 
 
 def run_study(
@@ -110,16 +123,19 @@ def run_study(
 ) -> List[List[Any]]:
     """Run every point of a study; per-point result lists in point order.
 
-    One :class:`~repro.experiments.parallel.SweepPool` (the caller's, or a
-    fresh one sized by ``workers``) serves the whole battery, so pool startup
-    is paid once per study rather than once per point.  ``adaptive``
-    resolves its metric against the study's declared target.  With a store
-    on the pool every trial is keyed by its point's spec fingerprint, so a
-    killed study resumes exactly where it stopped -- across points as well
-    as within one.
+    Every point is compiled before any trial runs; then one
+    :class:`~repro.experiments.parallel.SweepPool` (the caller's, or a
+    fresh one sized by ``workers``) advances the whole battery at once
+    (:meth:`~repro.experiments.parallel.SweepPool.run_points`), so pool
+    startup is paid once per study and the points of a round share its
+    maps.  ``adaptive`` resolves its metric against the study's declared
+    target.  With a store on the pool every trial is keyed by its point's
+    spec fingerprint, so a killed study resumes exactly where it stopped --
+    across points as well as within one.
     """
     from repro.experiments.parallel import SweepPool  # late: avoids cycle
 
     rule = adaptive.resolved(study.metric) if adaptive is not None else None
+    points = [compile_point(point, rule) for point in study.points]
     with SweepPool.ensure(pool, workers) as shared:
-        return [run_scenario(point, pool=shared, adaptive=rule) for point in study.points]
+        return shared.run_points(points)

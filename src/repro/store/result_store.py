@@ -10,8 +10,8 @@ The schema is one table::
 trial seed, ``version`` the :func:`~repro.store.fingerprint.code_version`
 stamp, ``payload`` the :func:`~repro.store.codec.encode_result` JSON.  The
 primary key makes recording idempotent (``INSERT OR IGNORE``), and each
-``record_many`` is one transaction over just the new rows -- cost is
-proportional to the batch, never to the store size.
+``record_many`` is one transaction over just the new rows, whatever keys
+they carry -- cost is proportional to the batch, never to the store size.
 
 Lookups are filtered to the current code version; rows recorded under a
 different version are *ignored with a stderr note* (results from different
@@ -95,7 +95,8 @@ class ResultStore:
         Database file location (created with parents if missing).  An
         existing file must be empty or a sqlite database: anything else --
         e.g. a JSONL journal -- raises ``ValueError`` naming the path and is
-        left untouched.
+        left untouched, and so does a database sqlite cannot open or whose
+        size is not a whole number of pages (:class:`DamagedStoreError`).
     fresh:
         ``True`` discards any existing content first (the ``--checkpoint``
         without ``--resume`` semantics); default keeps everything -- a store
@@ -134,15 +135,24 @@ class ResultStore:
             )
             self._conn.commit()
             self.stale_ignored = self._count_other_versions()
+            page_size = int(self._conn.execute("PRAGMA page_size").fetchone()[0])
         except sqlite3.DatabaseError as error:
             self._conn.close()
             raise self._damaged("open", error) from None
+        # A cut file can still open and answer the keys on its intact pages;
+        # sqlite only ever writes whole pages, so a partial one gives it away.
+        size = os.path.getsize(self.path)
+        if size % page_size:
+            self._conn.close()
+            raise self._damaged(
+                "open", f"{size} bytes is not a whole number of {page_size}-byte pages"
+            )
         if self.stale_ignored and not self.allow_stale:
             _stale_note(self.path, self.stale_ignored, self.version)
 
     # --------------------------------------------------------------- plumbing
 
-    def _damaged(self, action: str, error: Exception) -> DamagedStoreError:
+    def _damaged(self, action: str, error: Any) -> DamagedStoreError:
         return DamagedStoreError(f"{self.path}: cannot {action} the result store ({error})")
 
     @contextmanager
@@ -233,32 +243,33 @@ class ResultStore:
 
     def record(self, key: str, seed: int, result: Any) -> bool:
         """Store one completed trial; returns whether a new row was written."""
-        return self.record_many(key, [(seed, result)]) > 0
+        return self.record_many([(key, seed, result)]) > 0
 
-    def record_many(self, key: str, pairs: Sequence[Tuple[int, Any]]) -> int:
-        """Store a batch of ``(seed, result)`` pairs in one transaction.
+    def record_many(self, rows: Sequence[Tuple[str, int, Any]]) -> int:
+        """Store a batch of ``(key, seed, result)`` rows in one transaction.
 
-        Cost is O(batch): one ``INSERT OR IGNORE`` per pair inside a single
+        Cost is O(batch): one ``INSERT OR IGNORE`` per row inside a single
         commit, independent of how many results the store already holds.
+        Returns the number of new rows written.
         """
-        rows: List[Tuple[str, int, str, str, float]] = []
-        for seed, result in pairs:
+        encoded: List[Tuple[str, int, str, str, float]] = []
+        for key, seed, result in rows:
             try:
                 payload = json.dumps(encode_result(result), sort_keys=True)
             except TypeError:
                 continue  # unjournalable result: run it again next time
-            rows.append((key, int(seed), self.version, payload, time.time()))
-        if not rows:
+            encoded.append((key, int(seed), self.version, payload, time.time()))
+        if not encoded:
             return 0
         before = self._conn.total_changes
         with self._guard("write to"), self._conn:
             self._conn.executemany(
                 "INSERT OR IGNORE INTO results (key, seed, version, payload, created_at)"
                 " VALUES (?, ?, ?, ?, ?)",
-                rows,
+                encoded,
             )
         written = self._conn.total_changes - before
-        self.bytes_written += sum(len(row[3]) for row in rows[:written])
+        self.bytes_written += sum(len(row[3]) for row in encoded[:written])
         return written
 
     # ------------------------------------------------------------ introspection

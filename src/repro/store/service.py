@@ -5,10 +5,11 @@
 or :class:`~repro.scenarios.spec.ScenarioSpec` JSON documents -- are
 submitted (from files on the command line, or from a watched spool
 directory), deduplicated by :func:`~repro.store.fingerprint.study_fingerprint`,
-and executed point by point on one shared
-:class:`~repro.experiments.parallel.SweepPool` that carries the service's
-execution policy and its :class:`~repro.store.result_store.ResultStore`.
-Every trial is keyed into that store, so
+and executed as one battery -- every point at once, round by round -- on one
+shared :class:`~repro.experiments.parallel.SweepPool` that carries the
+service's execution policy and its
+:class:`~repro.store.result_store.ResultStore`.  Every trial is keyed into
+that store, so
 a re-submitted experiment -- same process or next week -- is a cache hit:
 the second run of any study against a warm store performs zero trial
 compute and reproduces its aggregates byte for byte.
@@ -66,7 +67,6 @@ class PointReport:
     lookups: int = 0
     hits: int = 0
     executed: int = 0
-    elapsed: float = 0.0
 
     def identity_dict(self) -> Dict[str, Any]:
         """The byte-comparable half: what ran and what it produced --
@@ -264,6 +264,8 @@ class StudyService:
     def _run_job(
         self, job_id: str, study: Any, source: str, fingerprint: Optional[str]
     ) -> JobReport:
+        from repro.scenarios.runtime import compile_point
+
         report = JobReport(
             job_id=job_id,
             name=study.name,
@@ -276,9 +278,29 @@ class StudyService:
         total = len(study.points)
         self.progress(f"job {job_id}: running study {study.name!r} ({total} point(s))")
         started = time.perf_counter()
-        pool = self._shared_pool()
-        for index, point in enumerate(study.points):
-            report.points.append(self._run_point(job_id, index, total, point, pool, rule))
+        runs = [compile_point(point, rule) for point in study.points]
+        self._shared_pool().run_points(runs)
+        for index, (point, run) in enumerate(zip(study.points, runs)):
+            # Every result the store did not serve was computed (all of them
+            # for an unkeyed point, whose fingerprint was refused).
+            executed = len(run.results) - run.hits
+            point_report = PointReport(
+                index=index,
+                label=point.label or f"point{index}",
+                algorithm=point.algorithm,
+                fingerprint=run.key,
+                spec=point.to_dict(),
+                summary=point_summary(run.results),
+                results=run.results,
+                lookups=run.lookups,
+                hits=run.hits,
+                executed=executed,
+            )
+            report.points.append(point_report)
+            self.progress(
+                f"job {job_id}: point {index + 1}/{total} ({point_report.label}) -- "
+                f"{len(run.results)} result(s), {run.hits} cached, {executed} executed"
+            )
         report.elapsed = time.perf_counter() - started
         lookups = report.lookups
         self.progress(
@@ -288,42 +310,6 @@ class StudyService:
         )
         if fingerprint is not None:
             self._completed[fingerprint] = report
-        return report
-
-    def _run_point(
-        self, job_id: str, index: int, total: int, point: Any, pool: Any, rule: Any
-    ) -> PointReport:
-        from repro.scenarios.runtime import run_scenario
-
-        hits_before, misses_before = self.store.hits, self.store.misses
-        started = time.perf_counter()
-        results = run_scenario(point, pool=pool, adaptive=rule)
-        elapsed = time.perf_counter() - started
-        hits = self.store.hits - hits_before
-        misses = self.store.misses - misses_before
-        fingerprint = _fingerprint.spec_fingerprint(point)
-        # With a keyed point every executed trial is a recorded store miss;
-        # an unkeyed point (fingerprint refused) never consulted the store,
-        # so everything it returned was computed.
-        executed = misses if fingerprint is not None else len(results)
-        report = PointReport(
-            index=index,
-            label=point.label or f"point{index}",
-            algorithm=point.algorithm,
-            fingerprint=fingerprint,
-            spec=point.to_dict(),
-            summary=point_summary(results),
-            results=list(results),
-            lookups=hits + misses,
-            hits=hits,
-            executed=executed,
-            elapsed=elapsed,
-        )
-        self.progress(
-            f"job {job_id}: point {index + 1}/{total} ({report.label}) -- "
-            f"{len(results)} result(s), {hits} cached, {executed} executed, "
-            f"{elapsed:.2f}s"
-        )
         return report
 
     # ------------------------------------------------------------------ export

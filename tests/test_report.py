@@ -140,7 +140,7 @@ class TestWinnerTable:
 class TestStoreCsv:
     def test_rows_hold_identity_then_result_fields(self, tmp_path):
         with ResultStore(tmp_path / "s.sqlite") as store:
-            store.record_many("k", [(2, {"m": 1.5, "rows": [1, 2]}), (1, Outer(1, True, Inner(0.5)))])
+            store.record_many([("k", 2, {"m": 1.5, "rows": [1, 2]}), ("k", 1, Outer(1, True, Inner(0.5)))])
             header, rows = store_rows(store)
             assert write_store_csv(store, str(tmp_path / "s.csv")) == 2
         assert header == [

@@ -348,7 +348,7 @@ class TestCheckpointStore:
 
     def test_run_seeds_executes_only_missing_seeds(self, tmp_path):
         with ResultStore(tmp_path / "checkpoint.sqlite") as store:
-            store.record_many("key", [(10, 100), (12, 144)])
+            store.record_many([("key", 10, 100), ("key", 12, 144)])
             executed = []
 
             def counting_square(seed):
@@ -384,7 +384,7 @@ class TestCheckpointStore:
         with ResultStore(tmp_path / "checkpoint.sqlite") as store:
             batches = []
             record_many = store.record_many
-            store.record_many = lambda key, pairs: batches.append(len(pairs)) or record_many(key, pairs)
+            store.record_many = lambda rows: batches.append(len(rows)) or record_many(rows)
             SweepPool(1, store=store).monte_carlo(abs, trials=5, key="k")
             assert batches == [1, 1, 1, 1, 1]
 
@@ -394,7 +394,7 @@ class TestCheckpointStore:
         with ResultStore(tmp_path / "checkpoint.sqlite") as store:
             batches = []
             record_many = store.record_many
-            store.record_many = lambda key, pairs: batches.append(len(pairs)) or record_many(key, pairs)
+            store.record_many = lambda rows: batches.append(len(rows)) or record_many(rows)
             with SweepPool(2, store=store) as pool:
                 results = pool.monte_carlo(abs, trials=40, key="k")
             assert batches == [16, 16, 8]  # max(16, 4 * workers) per block
@@ -455,7 +455,7 @@ class TestMonteCarloResume:
             return trial(seed)
 
         with ResultStore(tmp_path / "checkpoint.sqlite") as store:
-            store.record_many("point", [(seeds[0], trial(seeds[0])), (seeds[2], trial(seeds[2]))])
+            store.record_many([("point", seeds[0], trial(seeds[0])), ("point", seeds[2], trial(seeds[2]))])
             results = SweepPool(store=store).monte_carlo(counting, trials=4, base_seed=9, key="point")
         assert sorted(executed) == sorted([seeds[1], seeds[3]])
         assert results == [trial(seed) for seed in seeds]

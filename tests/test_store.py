@@ -187,7 +187,7 @@ class TestVersionGating:
     def test_counts_by_version_tallies_every_stamp(self, tmp_path, monkeypatch):
         path = tmp_path / "store.sqlite"
         with ResultStore(path, fresh=True) as store:
-            store.record_many("key", [(1, {"m": 1.0}), (2, {"m": 2.0})])
+            store.record_many([("key", 1, {"m": 1.0}), ("key", 2, {"m": 2.0})])
         old = code_version()
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
@@ -200,7 +200,7 @@ class TestVersionGating:
     def test_allow_stale_still_prefers_the_current_row(self, tmp_path, monkeypatch):
         path = tmp_path / "store.sqlite"
         with ResultStore(path, fresh=True) as store:
-            store.record_many("key", [(1, {"m": 1.0}), (2, {"m": 2.0})])
+            store.record_many([("key", 1, {"m": 1.0}), ("key", 2, {"m": 2.0})])
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
         )
@@ -240,7 +240,7 @@ def truncated_store(tmp_path, share=0.9):
     """A store of 400 padded rows cut to ``share`` of its bytes."""
     path = tmp_path / "cut.sqlite"
     with ResultStore(path, fresh=True) as store:
-        store.record_many("k", [(seed, {"m": float(seed), "pad": "x" * 200}) for seed in range(400)])
+        store.record_many([("k", seed, {"m": float(seed), "pad": "x" * 200}) for seed in range(400)])
     data = path.read_bytes()
     path.write_bytes(data[: int(len(data) * share)])
     return path
@@ -250,19 +250,32 @@ def truncated_store(tmp_path, share=0.9):
 DAMAGED_KEYS = ("k0", "k1", "k2", "k3")
 
 
-def damaged_store(tmp_path):
-    """Four keys of 100 padded rows cut to 99% of the file's bytes.
-
-    The schema page survives the cut, so the store opens; the pages of the
-    last rows are gone, so queries that reach them fail.
-    """
-    path = tmp_path / "damaged.sqlite"
+def _four_key_store(path):
     with ResultStore(path, fresh=True) as store:
         for key in DAMAGED_KEYS:
             store.record_many(
-                key, [(seed, {"m": float(seed), "pad": "x" * 200}) for seed in range(100)]
+                [(key, seed, {"m": float(seed), "pad": "x" * 200}) for seed in range(100)]
             )
-    data = path.read_bytes()
+    return path.read_bytes()
+
+
+def damaged_store(tmp_path):
+    """Four keys of 100 padded rows with the last 1% of the file zeroed.
+
+    The file keeps its whole pages and its schema page, so the store opens;
+    the last rows' page is blank, so queries that reach it fail.
+    """
+    path = tmp_path / "damaged.sqlite"
+    data = _four_key_store(path)
+    keep = int(len(data) * 0.99)
+    path.write_bytes(data[:keep] + bytes(len(data) - keep))
+    return path
+
+
+def cut_store(tmp_path):
+    """The same four keys cut to 99% of the file's bytes: a partial page."""
+    path = tmp_path / "cut99.sqlite"
+    data = _four_key_store(path)
     path.write_bytes(data[: int(len(data) * 0.99)])
     return path
 
@@ -320,6 +333,36 @@ class TestStorePathValidation:
         assert "Traceback" not in completed.stderr
         (line,) = completed.stderr.strip().splitlines()
         assert line.startswith(f"{path}: cannot open the result store (")
+
+    def test_a_store_cut_to_a_partial_page_is_refused_at_open(self, tmp_path):
+        path = cut_store(tmp_path)
+        before = path.read_bytes()
+        assert len(before) % 4096  # precondition: the cut leaves a partial page
+        with pytest.raises(ValueError) as info:
+            ResultStore(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: cannot open the result store (")
+        assert "not a whole number of 4096-byte pages" in message and "\n" not in message
+        assert path.read_bytes() == before
+
+    def test_serve_on_a_store_cut_to_a_partial_page_exits_in_one_line(self, tmp_path):
+        path = cut_store(tmp_path)
+        before = path.read_bytes()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"algorithm": "abe-election", "trials": 3}))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", str(spec_path), "--store", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert completed.returncode != 0
+        assert "Traceback" not in completed.stderr
+        (line,) = completed.stderr.strip().splitlines()
+        assert line.startswith(f"{path}: cannot open the result store (")
+        assert path.read_bytes() == before  # nothing served into it, nothing recorded
 
     def test_a_store_that_opens_fails_its_damaged_queries_in_one_line(self, tmp_path):
         path = damaged_store(tmp_path)
@@ -413,7 +456,7 @@ class TestResultStore:
         assert type(result.leader_uid) is int
         assert type(result.election_time) is float
         with ResultStore(tmp_path / "results.sqlite") as store:
-            assert store.record_many("vector", [(159, result)]) == 1
+            assert store.record_many([("vector", 159, result)]) == 1
             assert store.lookup("vector", [159]) == {159: result}
 
     def test_monte_carlo_resumes_from_sqlite_checkpoint(self, tmp_path):
